@@ -265,9 +265,9 @@ impl Pipeline {
                 state_event(&log, &name, state::DONE);
                 self.executed.push(name);
             }
-            // A budget breach is the more specific failure: it may also have
-            // aborted the task layer, so check it before the generic channel
-            // and surface the operator/bytes detail instead of a retry tale.
+            // The engine keeps one first-failure-wins slot; its two typed
+            // readers surface a budget breach with its operator/bytes detail
+            // and a task failure with its attempt history.
             if let Some(b) = self.ctx.take_budget_breach() {
                 return Err(PipelineError::MemoryBudgetExceeded {
                     process: step_label,
@@ -277,9 +277,8 @@ impl Pipeline {
                     budget: b.budget,
                 });
             }
-            // The engine records terminal task failures in the context
-            // (Process::execute has no Result channel); surface the first
-            // one here with the step that was executing.
+            // Process::execute has no Result channel, so the failure is
+            // surfaced here with the step that was executing.
             if let Some(failure) = self.ctx.take_failure() {
                 return Err(PipelineError::TaskFailed { process: step_label, failure });
             }
@@ -500,6 +499,52 @@ mod tests {
         assert!(text.contains("stage 0"), "{text}");
         assert!(text.contains("partition 0"), "{text}");
         assert!(text.contains("failed after 4 attempts"), "{text}");
+    }
+
+    #[test]
+    fn panicking_task_without_fault_plan_is_a_typed_error() {
+        use gpf_formats::sam::SamRecord;
+        struct Boom {
+            input: Arc<SamBundle>,
+            output: Arc<SamBundle>,
+        }
+        impl Process for Boom {
+            fn name(&self) -> &str {
+                "boom"
+            }
+            fn input_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+                vec![self.input.clone()]
+            }
+            fn output_resources(&self) -> Vec<Arc<dyn ResourceAny>> {
+                vec![self.output.clone()]
+            }
+            fn execute(&self, _ctx: &Arc<EngineContext>) {
+                let out = self.input.dataset().map_partitions_with_index(|i, p| {
+                    assert!(i != 1, "malformed record in partition {i}");
+                    p.to_vec()
+                });
+                self.output.define(out);
+            }
+        }
+        let ctx = EngineContext::new(EngineConfig::gpf());
+        let records: Vec<SamRecord> = (0..12)
+            .map(|i| SamRecord::unmapped(format!("r{i}"), b"ACGT".to_vec(), b"IIII".to_vec()))
+            .collect();
+        let a = bundle("a");
+        let b = bundle("b");
+        a.define(Dataset::from_vec(Arc::clone(&ctx), records, 3));
+        let mut pipeline = Pipeline::new("panicky", Arc::clone(&ctx));
+        pipeline.add_process(Arc::new(Boom { input: a, output: b }));
+        match pipeline.run().unwrap_err() {
+            PipelineError::TaskFailed { process, failure } => {
+                assert_eq!(process, "boom");
+                assert_eq!(failure.partition, 1);
+                assert_eq!(failure.attempts.len(), 1, "no fault plan: one attempt");
+                let cause = &failure.attempts[0].cause;
+                assert!(cause.contains("malformed record in partition 1"), "{cause}");
+            }
+            other => panic!("unexpected {other}"),
+        }
     }
 
     #[test]

@@ -1,26 +1,30 @@
-//! Memory-budget accountant, spill-vs-recompute eviction policy, and the
-//! evictable partition store behind [`crate::Dataset`]'s tracked mode.
+//! Memory-budget accountant, LRU eviction policy, and the evictable
+//! partition store behind [`crate::Dataset`]'s tracked mode.
 //!
-//! ROADMAP item 3 / Rosalind's O(√t) idea: cap peak resident bytes
-//! regardless of input size by trading memory for recompute/IO. The
+//! Rosalind's O(√t) idea: cap peak resident bytes regardless of input
+//! size by trading memory for spill IO. The
 //! [`BudgetAccountant`] is a single ledger of exactly-accounted resident
 //! partition bytes (via [`GpfSerialize::resident_bytes`]); every partition
 //! materialization *admits* its charge, and when a charge would breach the
 //! budget the accountant reclaims from registered [`TrackedStore`]s —
 //! oldest-touched victims first — before giving up.
 //!
-//! The eviction policy is spill-vs-recompute by lineage cost:
+//! Eviction walks victims least-recently-touched first, skipping any
+//! partition a live reader pins, and treats each by whether its spill
+//! image already exists:
 //!
 //! * a **clean** resident partition (its spill ticket already exists)
-//!   is *dropped* — recomputing it later is a checksummed re-read, the
-//!   cheap-lineage case ([`mem.budget.dropped_clean`][c1]);
+//!   is *dropped* and later re-read from that image
+//!   ([`mem.budget.dropped_clean`][c1]);
 //! * a **dirty** resident partition is *spilled* — serialized into
-//!   checksummed [`SpillFrame`]s first, the expensive-lineage case
-//!   ([`mem.budget.spilled`][c2]).
+//!   checksummed [`SpillFrame`]s first ([`mem.budget.spilled`][c2]).
+//!
+//! Nothing is recomputed from lineage on eviction: every restore is a
+//! checksummed re-read of the spill image.
 //!
 //! Spill frames model write-verified durable storage as in-memory buffers
-//! (the same simulation stance as `barrier_via_disk`; [`crate::fsmodel`]
-//! prices the IO analytically). Frames are therefore pristine at rest —
+//! (the same simulation stance as `barrier_via_disk`). Frames are
+//! therefore pristine at rest —
 //! read-back faults ([`FaultSurface::SpillRead`]) damage only the
 //! transient copy handed to the decoder, the checksum detects it, and a
 //! bounded retry re-reads pristine bytes: a tracked-store read never
@@ -232,7 +236,7 @@ impl SpillTicket {
         Self { frames, kind }
     }
 
-    /// Serialized size across all frames (the bytes `fsmodel` prices).
+    /// Serialized size across all frames.
     pub(crate) fn spilled_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.bytes.len() as u64).sum()
     }
@@ -296,7 +300,7 @@ pub(crate) trait TrackedParts<T>: Send + Sync {
     /// Whether partition `i` is currently evicted (test/bench visibility).
     fn is_spilled(&self, i: usize) -> bool;
     /// Serialized bytes currently held in spill frames across all evicted
-    /// partitions (test/bench visibility; what `fsmodel` prices).
+    /// partitions (test/bench visibility).
     fn spilled_bytes(&self) -> u64;
 }
 

@@ -25,9 +25,10 @@ pub struct EngineConfig {
     /// Fixed per-record heap-churn estimate (object headers, boxing) in
     /// bytes, on top of payload bytes.
     pub per_record_overhead_bytes: u64,
-    /// Fault-tolerance configuration. `None` (the default) disables the
-    /// whole fault path — no injection, no checksums, no retry machinery —
-    /// so pipelines that don't opt in pay nothing.
+    /// Fault-tolerance configuration. `None` (the default) gives every task
+    /// one attempt with no injection and no speculation; a panic still
+    /// surfaces as a typed failure, and shuffle and spill checksums are
+    /// always verified.
     pub faults: Option<FaultConfig>,
     /// Adaptive skew mitigation (the paper's §4.4 dynamic repartition).
     /// `None` (the default) keeps every shuffle on its static layout.
@@ -41,9 +42,10 @@ pub struct EngineConfig {
     /// default) runs fully in-memory, exactly as before. `Some(bytes)`
     /// installs a [`crate::BudgetAccountant`] on the context: datasets
     /// produced by shuffles/barriers (and any marked `.evictable()`)
-    /// become eviction candidates under a spill-vs-recompute policy, and
-    /// map stages over evicted partitions stream chunk-by-chunk instead of
-    /// materializing them.
+    /// become LRU eviction candidates — dirty partitions spill to
+    /// checksummed frames, clean ones are dropped and re-read from their
+    /// spill image — and map stages over evicted partitions stream
+    /// chunk-by-chunk instead of materializing them.
     pub memory_budget: Option<u64>,
 }
 
@@ -70,8 +72,8 @@ impl EngineConfig {
         self
     }
 
-    /// Enable fault tolerance (injection, checksums, retry, speculation)
-    /// under the given configuration.
+    /// Enable fault injection, task retries and speculation under the
+    /// given configuration.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = Some(faults);
         self

@@ -45,17 +45,22 @@ pub struct EngineContext {
     /// close so `(stage, partition, attempt)` coordinates are stable and
     /// cheap to read (unlike `stages_so_far`, which replays the trace).
     stage_counter: AtomicU32,
-    /// Set once a task exhausts its retry budget; datasets short-circuit to
-    /// empty results after this so the failure propagates without panics.
+    /// Set once a failure is recorded; datasets short-circuit to empty
+    /// results after this so the failure propagates without panics.
     failed_flag: AtomicBool,
-    /// The first terminal failure (first-failure-wins).
-    failure: Mutex<Option<EngineError>>,
+    /// The first terminal failure of the run (first-failure-wins).
+    failure: Mutex<Option<Failure>>,
     /// The memory-budget accountant, installed when
     /// [`EngineConfig::memory_budget`] is set.
     accountant: Option<Arc<BudgetAccountant>>,
-    /// The first terminal budget breach (first-failure-wins), kept separate
-    /// from `failure` so `take_failure`'s contract is untouched.
-    budget_breach: Mutex<Option<BudgetBreach>>,
+}
+
+/// A run's terminal failure, as held in the context's one failure slot.
+pub(crate) enum Failure {
+    /// A task exhausted its attempts or failed verification.
+    Task(EngineError),
+    /// A restore could not be admitted under the memory budget.
+    Budget(BudgetBreach),
 }
 
 /// One task's measurements, captured on the worker and recorded
@@ -91,7 +96,6 @@ impl EngineContext {
             failed_flag: AtomicBool::new(false),
             failure: Mutex::new(None),
             accountant,
-            budget_breach: Mutex::new(None),
         })
     }
 
@@ -425,25 +429,39 @@ impl EngineContext {
         self.config.faults.as_ref()
     }
 
-    /// Record a terminal task failure. First failure wins; later ones are
+    /// Record a terminal failure. First failure wins; later ones are
     /// dropped (they are usually short-circuit echoes of the first).
-    pub(crate) fn fail(&self, err: EngineError) {
+    fn record_failure(&self, failure: Failure) {
         let mut slot = self.failure.lock();
-        if slot.is_none() {
-            self.failed_flag.store(true, Ordering::SeqCst);
-            let ev = self.ev(
-                EventKind::Instant,
-                Arc::from("task.failed"),
-                Category::Scheduler,
-                vec![
-                    (Arc::from("stage"), err.stage as u64),
-                    (Arc::from("part"), err.partition as u64),
-                    (Arc::from("attempts"), err.attempts.len() as u64),
-                ],
-            );
-            self.trace.push(ev);
-            *slot = Some(err);
+        if slot.is_some() {
+            return;
         }
+        self.failed_flag.store(true, Ordering::SeqCst);
+        let (name, counters) = match &failure {
+            Failure::Task(err) => {
+                let (stage, part) = (err.stage as u64, err.partition as u64);
+                ("task.failed", [("stage", stage), ("part", part), ("attempts", err.attempts.len() as u64)])
+            }
+            Failure::Budget(b) => (
+                "budget.breach",
+                [("stage", b.stage as u64), ("requested", b.requested), ("budget", b.budget)],
+            ),
+        };
+        let counters = counters.into_iter().map(|(k, v)| (Arc::from(k), v)).collect();
+        let ev = self.ev(EventKind::Instant, Arc::from(name), Category::Scheduler, counters);
+        self.trace.push(ev);
+        *slot = Some(failure);
+    }
+
+    /// Record a terminal task failure (see [`EngineContext::take_failure`]).
+    pub(crate) fn fail(&self, err: EngineError) {
+        self.record_failure(Failure::Task(err));
+    }
+
+    /// Record a terminal memory-budget breach (see
+    /// [`EngineContext::take_budget_breach`]).
+    pub(crate) fn fail_budget(&self, breach: BudgetBreach) {
+        self.record_failure(Failure::Budget(breach));
     }
 
     /// Whether a terminal failure has been recorded (datasets short-circuit
@@ -452,14 +470,36 @@ impl EngineContext {
         self.failed_flag.load(Ordering::SeqCst)
     }
 
-    /// Take the recorded failure, if any, clearing it so the context can be
-    /// reused for another run.
-    pub fn take_failure(&self) -> Option<EngineError> {
-        let taken = self.failure.lock().take();
-        if taken.is_some() {
-            self.failed_flag.store(false, Ordering::SeqCst);
+    /// Take the slot's failure if `pick` accepts its kind, clearing the
+    /// short-circuit flag so the context can be reused for another run.
+    fn take_where<R>(&self, pick: impl FnOnce(Failure) -> Result<R, Failure>) -> Option<R> {
+        let mut slot = self.failure.lock();
+        match pick(slot.take()?) {
+            Ok(taken) => {
+                self.failed_flag.store(false, Ordering::SeqCst);
+                Some(taken)
+            }
+            Err(other) => {
+                *slot = Some(other);
+                None
+            }
         }
-        taken
+    }
+
+    /// Take the recorded task failure, if the run's first failure was one.
+    pub fn take_failure(&self) -> Option<EngineError> {
+        self.take_where(|f| match f {
+            Failure::Task(err) => Ok(err),
+            other => Err(other),
+        })
+    }
+
+    /// Take the recorded budget breach, if the run's first failure was one.
+    pub fn take_budget_breach(&self) -> Option<BudgetBreach> {
+        self.take_where(|f| match f {
+            Failure::Budget(breach) => Ok(breach),
+            other => Err(other),
+        })
     }
 
     /// The memory-budget accountant, when a budget is installed.
@@ -467,44 +507,11 @@ impl EngineContext {
         self.accountant.as_ref()
     }
 
-    /// Record a terminal memory-budget breach. First breach wins; later
-    /// ones are short-circuit echoes. Sets the same failed flag as
-    /// [`EngineContext::fail`] so datasets stop scheduling work.
-    pub(crate) fn fail_budget(&self, breach: BudgetBreach) {
-        let mut slot = self.budget_breach.lock();
-        if slot.is_none() {
-            self.failed_flag.store(true, Ordering::SeqCst);
-            let ev = self.ev(
-                EventKind::Instant,
-                Arc::from("budget.breach"),
-                Category::Scheduler,
-                vec![
-                    (Arc::from("stage"), breach.stage as u64),
-                    (Arc::from("requested"), breach.requested),
-                    (Arc::from("budget"), breach.budget),
-                ],
-            );
-            self.trace.push(ev);
-            *slot = Some(breach);
-        }
-    }
-
-    /// Take the recorded budget breach, if any, clearing it so the context
-    /// can be reused. Checked by `Pipeline::run` *before* `take_failure`,
-    /// because a breach's short-circuiting can echo as task failures.
-    pub fn take_budget_breach(&self) -> Option<BudgetBreach> {
-        let taken = self.budget_breach.lock().take();
-        if taken.is_some() {
-            self.failed_flag.store(false, Ordering::SeqCst);
-        }
-        taken
-    }
-
     /// Record one recovery event: a scheduler instant in the session trace
     /// plus a global counter bump. The global counters are unconditional
-    /// (not gated on ambient tracing) — this path only executes when faults
-    /// are configured, so the disabled-cost is zero and chaos tests can
-    /// read the counters without toggling `set_enabled`.
+    /// (not gated on ambient tracing) — this path only executes when a
+    /// fault is injected or recovered, so a clean run never pays for it and
+    /// chaos tests can read the counters without toggling `set_enabled`.
     pub(crate) fn record_fault_event(&self, name: &'static str, stage: u32, part: u32, n: u64) {
         gpf_trace::counter(name).add(n);
         let ev = self.ev(
@@ -740,6 +747,24 @@ mod tests {
         assert_eq!(breach.operator, "map");
         assert_eq!((breach.requested, breach.budget), (100, 50));
         assert!(!ctx.has_failed(), "taking the breach clears the short-circuit flag");
+    }
+
+    #[test]
+    fn first_failure_wins_across_kinds() {
+        let ctx = EngineContext::new(EngineConfig::gpf().with_memory_budget(1 << 16));
+        ctx.fail(EngineError { label: "map".into(), stage: 1, partition: 2, attempts: Vec::new() });
+        ctx.fail_budget(crate::budget::BudgetBreach {
+            stage: 3,
+            operator: "later".into(),
+            requested: 1,
+            budget: 1,
+        });
+        assert!(ctx.take_budget_breach().is_none(), "a task failure came first");
+        assert!(ctx.has_failed(), "a reader of the other kind leaves the slot set");
+        let err = ctx.take_failure().expect("task failure recorded");
+        assert_eq!((err.label.as_str(), err.stage, err.partition), ("map", 1, 2));
+        assert!(!ctx.has_failed());
+        assert!(ctx.take_budget_breach().is_none(), "the echo was dropped");
     }
 
     #[test]

@@ -8,6 +8,12 @@
 //! [`gpf_compress::SerializerKind`] and deserialized on the reduce side — so
 //! shuffle byte counts and serde CPU costs are measured, not estimated.
 //!
+//! Every task of every operator runs through one runner, [`run_tasks`]: it
+//! times the task, attributes its heap, catches panics, and applies the
+//! context's [`FaultConfig`] (injection, retries, speculation) when one is
+//! installed. Failures reach the context's single failure slot as typed
+//! errors; operators then return empty datasets so the failure propagates.
+//!
 //! Partition contents are held behind an `Arc`, so cloning a dataset is
 //! cheap and read-only datasets (the FASTA/VCF partition RDDs of the paper's
 //! Figure 7) can be reused by many downstream processes without copying.
@@ -57,17 +63,53 @@ pub fn stable_hash<K: Hash>(key: &K) -> u64 {
     h.finish()
 }
 
-/// FNV-1a over a byte buffer — the shuffle-segment / spill checksum.
+/// Little-endian word from up to 8 bytes, zero-padded.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// The shuffle-segment / spill checksum: four multiply-xor lanes over
+/// 8-byte little-endian words, seeded with the length and folded together
+/// at the end.
+///
+/// Each lane step `(lane ^ word) * FNV_PRIME`, rotated, is a bijection of
+/// the lane for a fixed word, and the final fold is a bijection of each
+/// lane in turn, so any single flipped bit changes the result; the length
+/// in the seed and the fold separates a buffer from its truncations. About
+/// 20× faster than byte-at-a-time FNV-1a, which is what lets every shuffle
+/// and spill buffer be checksummed on every run.
 pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h = Fnv1a::default();
-    h.write(bytes);
-    h.finish()
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+    #[inline(always)]
+    fn step(lane: u64, word: u64) -> u64 {
+        (lane ^ word).wrapping_mul(PRIME).rotate_left(29)
+    }
+    let len = bytes.len() as u64;
+    let seed = 0xcbf2_9ce4_8422_2325 ^ len.wrapping_mul(PRIME);
+    let mut lanes = [seed, seed.rotate_left(16), seed.rotate_left(32), seed.rotate_left(48)];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = step(*lane, le_word(word));
+        }
+    }
+    for (lane, word) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+        *lane = step(*lane, le_word(word));
+    }
+    let mut h = len;
+    for lane in lanes {
+        h = (h ^ lane).wrapping_mul(PRIME);
+        h ^= h >> 31;
+    }
+    h
 }
 
 /// Physical representation of a dataset's partitions.
 ///
-/// `Plain` is the classic fully-resident form — zero overhead, byte-for-byte
-/// the engine as it existed before memory budgets. `Tracked` partitions live
+/// `Plain` is the classic fully-resident form. `Tracked` partitions live
 /// in a budget-accounted [`TrackedStore`]: they may be evicted to checksummed
 /// spill frames under memory pressure and are restored (or streamed
 /// chunk-by-chunk) on access.
@@ -104,6 +146,12 @@ impl<T> Parts<T> {
         (0..self.num()).map(|i| self.part_len(i)).sum()
     }
 
+    /// Budget-tracked partitions run whole-partition work serially
+    /// (DESIGN.md §16c), so at most one restore is admitted at a time.
+    fn is_tracked(&self) -> bool {
+        matches!(self, Parts::Tracked(_))
+    }
+
     /// Borrow (plain) or restore (tracked) partition `i`.
     /// `Err((requested, budget))` only when a tracked restore is infeasible
     /// under the installed memory budget.
@@ -138,9 +186,11 @@ impl<T> Parts<T> {
     }
 }
 
-/// `n` empty partitions — the placeholder a failed pipeline propagates.
-fn empty_parts<T>(n: usize) -> Parts<T> {
-    Parts::Plain(Arc::new((0..n).map(|_| Vec::new()).collect()))
+/// `n` empty partitions on `ctx` — what an operator returns once the
+/// context holds a failure, so downstream operators short-circuit.
+fn failed<T>(ctx: &Arc<EngineContext>, n: usize) -> Dataset<T> {
+    let parts = (0..n).map(|_| Vec::new()).collect();
+    Dataset { ctx: Arc::clone(ctx), parts: Parts::Plain(Arc::new(parts)) }
 }
 
 /// Wrap freshly produced output partitions: budget-tracked (evictable)
@@ -313,261 +363,89 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }
     }
 
-    /// Core narrow operation: per-partition parallel transform with metric
-    /// recording. `f` receives `(partition_index, records)`.
+    /// Serialized size of each partition under `kind`. Tracked partitions
+    /// are sized from streamed chunks, serially, so sizing never admits
+    /// (or breaches) anything.
+    fn serialized_sizes(&self, kind: SerializerKind) -> Vec<u64>
+    where
+        T: GpfSerialize,
+    {
+        let size = |i: usize| {
+            let mut bytes = 0u64;
+            self.parts.stream(i, &mut |chunk| bytes += serialize_batch(kind, chunk).len() as u64);
+            bytes
+        };
+        if self.parts.is_tracked() {
+            (0..self.parts.num()).map(size).collect()
+        } else {
+            par::map_range(self.parts.num(), size)
+        }
+    }
+
+    /// Run one narrow task per partition through [`run_tasks`] and record
+    /// them into the open stage. `serial` is the budget-tracked rung of the
+    /// degradation ladder (DESIGN.md §16c).
+    fn run_narrow<U: Send + Sync + 'static>(
+        &self,
+        label: &str,
+        serial: bool,
+        body: impl Fn(usize) -> Vec<U> + Sync,
+    ) -> Dataset<U> {
+        let n = self.parts.num();
+        if self.ctx.has_failed() {
+            return failed(&self.ctx, n);
+        }
+        let Some((outs, samples)) = run_tasks(&self.ctx, label, n, TaskKind::Narrow, serial, body)
+        else {
+            return failed(&self.ctx, n);
+        };
+        let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
+        let alloc = records * self.ctx.config().per_record_overhead_bytes;
+        self.ctx.record_tasks(label, &samples, records, alloc);
+        Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(outs)) }
+    }
+
+    /// Core narrow operation: per-partition transform with metric
+    /// recording. `f` receives `(partition_index, records)`. Plain inputs
+    /// run in parallel; budget-tracked inputs restore one partition at a
+    /// time, so any budget that fits the largest single partition stays
+    /// feasible (element-wise operators avoid even that restore by
+    /// streaming).
     pub fn narrow_op<U: Send + Sync + 'static>(
         &self,
         label: &str,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        if matches!(&self.parts, Parts::Tracked(_)) {
-            return self.narrow_op_tracked(label, f);
-        }
-        if let Some(fc) = self.ctx.faults() {
-            return self.narrow_op_ft(label, f, fc);
-        }
-        let Parts::Plain(plain) = &self.parts else {
-            // gpf-lint: allow(no-panic): the Tracked match above returned.
-            unreachable!("tracked handled above")
-        };
-        let results: Vec<(Vec<U>, TaskSample)> = par::map_indexed(plain, |i, p| {
-            let start_ns = now_ns();
-            let t0 = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Task);
-            let ht = alloc::window_begin();
-            let out = f(i, p);
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t0.elapsed_s();
-            (
-                out,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-            )
-        });
-        let samples: Vec<TaskSample> = results.iter().map(|(_, s)| *s).collect();
-        let records: u64 = results.iter().map(|(v, _)| v.len() as u64).sum();
-        let alloc = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(results.into_iter().map(|(v, _)| v).collect())),
-        }
-    }
-
-    /// Fault-tolerant [`Dataset::narrow_op`]: every task runs under
-    /// [`run_with_retry`] (injection, bounded retries, panic capture) and
-    /// completed stages speculate duplicates for straggler tasks.
-    fn narrow_op_ft<U: Send + Sync + 'static>(
-        &self,
-        label: &str,
-        f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-        fc: &FaultConfig,
-    ) -> Dataset<U> {
-        let Parts::Plain(plain) = &self.parts else {
-            // gpf-lint: allow(no-panic): narrow_op routes tracked datasets
-            // to narrow_op_tracked before the fault path is considered.
-            unreachable!("tracked datasets run the serial narrow path")
-        };
-        let stage = self.ctx.current_stage();
-        let results: Vec<Result<TaskRun<Vec<U>>, EngineError>> =
-            par::map_indexed(plain, |i, p| {
-                run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || f(i, p))
-            });
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(tr) => runs.push(tr),
-                Err(err) => {
-                    self.ctx.record_fault_event(
-                        tn::TASK_RETRIES,
-                        stage,
-                        err.partition,
-                        err.attempts.len() as u64,
-                    );
-                    self.ctx.fail(err);
-                    return Dataset {
-                        ctx: Arc::clone(&self.ctx),
-                        parts: empty_parts(self.parts.num()),
-                    };
-                }
+        self.run_narrow(label, self.parts.is_tracked(), |i| match self.parts.get(i) {
+            Ok(part) => f(i, &part),
+            Err((requested, budget)) => {
+                self.breach(label, requested, budget);
+                Vec::new()
             }
-        }
-        speculate(&self.ctx, fc, stage, &mut runs, |i| f(i, &plain[i]));
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
-    }
-
-    /// Narrow op over a budget-tracked dataset: partitions are restored
-    /// **serially** — at most one restore is admitted at a time, so any
-    /// budget that fits the largest single partition stays feasible. Under
-    /// memory pressure the engine deliberately trades parallelism for a
-    /// bounded footprint (graceful degradation); element-wise operators
-    /// avoid even the restore via [`Dataset::narrow_op_chunked`].
-    fn narrow_op_tracked<U: Send + Sync + 'static>(
-        &self,
-        label: &str,
-        f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
-    ) -> Dataset<U> {
-        let n = self.parts.num();
-        let stage = self.ctx.current_stage();
-        let fc = self.ctx.faults();
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let part = match self.parts.get(i) {
-                Ok(p) => p,
-                Err((requested, budget)) => {
-                    self.breach(label, requested, budget);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                }
-            };
-            if let Some(fc) = fc {
-                let run = run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || {
-                    f(i, &part)
-                });
-                match run {
-                    Ok(tr) => runs.push(tr),
-                    Err(err) => {
-                        self.ctx.record_fault_event(
-                            tn::TASK_RETRIES,
-                            stage,
-                            err.partition,
-                            err.attempts.len() as u64,
-                        );
-                        self.ctx.fail(err);
-                        return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                    }
-                }
-            } else {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = f(i, &part);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                runs.push(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                });
-            }
-        }
-        // No speculation on the serial path: there is no parallel wave for
-        // a straggler to lag behind.
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+        })
     }
 
     /// Element-wise narrow operation: `f` maps a *chunk* of records to
-    /// outputs and is applied once per partition for plain datasets but
-    /// once per spill frame for evicted tracked partitions — a map stage
-    /// over an evicted partition never materializes it.
-    fn narrow_op_chunked<U: Send + Sync + 'static>(
+    /// outputs and is applied once per plain or resident partition but
+    /// once per spill frame for an evicted one — a map stage over an
+    /// evicted partition never materializes it, so it stays parallel.
+    fn stream_op<U: Send + Sync + 'static>(
         &self,
         label: &str,
         f: impl Fn(&[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        let store = match &self.parts {
-            Parts::Plain(_) => return self.narrow_op(label, move |_, p| f(p)),
-            Parts::Tracked(s) => Arc::clone(s),
-        };
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(store.num_parts()) };
-        }
-        let n = store.num_parts();
-        let stage = self.ctx.current_stage();
-        let body = |i: usize| -> Vec<U> {
+        self.run_narrow(label, false, |i| {
             let mut out = Vec::new();
-            store.stream(i, &mut |chunk| out.append(&mut f(chunk)));
-            out
-        };
-        let results: Vec<Result<TaskRun<Vec<U>>, EngineError>> = match self.ctx.faults() {
-            Some(fc) => par::map_range(n, |i| {
-                run_with_retry(fc, label, stage, i as u32, FaultSurface::NarrowTask, || body(i))
-            }),
-            None => par::map_range(n, |i| {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = body(i);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                Ok(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                })
-            }),
-        };
-        let mut runs: Vec<TaskRun<Vec<U>>> = Vec::with_capacity(results.len());
-        for r in results {
-            match r {
-                Ok(tr) => runs.push(tr),
-                Err(err) => {
-                    self.ctx.record_fault_event(
-                        tn::TASK_RETRIES,
-                        stage,
-                        err.partition,
-                        err.attempts.len() as u64,
-                    );
-                    self.ctx.fail(err);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
+            self.parts.stream(i, &mut |chunk| {
+                let mut part = f(chunk);
+                if out.is_empty() {
+                    out = part;
+                } else {
+                    out.append(&mut part);
                 }
-            }
-        }
-        if let Some(fc) = self.ctx.faults() {
-            speculate(&self.ctx, fc, stage, &mut runs, &body);
-        }
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(label, &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+            });
+            out
+        })
     }
 
     /// Element-wise transform.
@@ -575,7 +453,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&T) -> U + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_op_chunked("map", move |p| p.iter().map(&f).collect())
+        self.stream_op("map", move |p| p.iter().map(&f).collect())
     }
 
     /// Element-to-many transform.
@@ -583,7 +461,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         &self,
         f: impl Fn(&T) -> I + Send + Sync,
     ) -> Dataset<U> {
-        self.narrow_op_chunked("flatMap", move |p| p.iter().flat_map(&f).collect())
+        self.stream_op("flatMap", move |p| p.iter().flat_map(&f).collect())
     }
 
     /// Keep records matching the predicate.
@@ -591,7 +469,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        self.narrow_op_chunked("filter", move |p| p.iter().filter(|t| f(t)).cloned().collect())
+        self.stream_op("filter", move |p| p.iter().filter(|t| f(t)).cloned().collect())
     }
 
     /// Whole-partition transform.
@@ -618,7 +496,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        self.narrow_op_chunked("keyBy", move |p| p.iter().map(|t| (f(t), t.clone())).collect())
+        self.stream_op("keyBy", move |p| p.iter().map(|t| (f(t), t.clone())).collect())
     }
 
     /// Concatenate two datasets' partition lists (narrow, like Spark union).
@@ -640,6 +518,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Pairwise partition zip (both datasets must have equal partition
     /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
+    ///
+    /// When either side is budget-tracked the zip runs pairwise-serially:
+    /// at most one left/right pair is resident at a time, so the working
+    /// set is bounded by the largest pair, not the whole right-hand dataset.
     pub fn zip_partitions<U: Send + Sync + 'static, V: Send + Sync + 'static>(
         &self,
         other: &Dataset<U>,
@@ -650,81 +532,17 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             other.num_partitions(),
             "zip_partitions requires equal partition counts"
         );
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        // Both sides resident: parallel narrow op, right side indexed
-        // directly — zero overhead, the pre-budget fast path.
-        if let (Parts::Plain(_), Parts::Plain(rp)) = (&self.parts, &other.parts) {
-            let rp = Arc::clone(rp);
-            return self.narrow_op("zipPartitions", move |i, p| f(i, p, &rp[i]));
-        }
-        // Either side budget-tracked: zip pairwise-*serially*. At most one
-        // left/right partition pair is resident at a time, so the working
-        // set is bounded by the largest pair — not the whole right-hand
-        // dataset, which is what pinning every restore up front would cost.
-        let n = self.parts.num();
-        let stage = self.ctx.current_stage();
-        let fc = self.ctx.faults();
-        let mut runs: Vec<TaskRun<Vec<V>>> = Vec::with_capacity(n);
-        for i in 0..n {
-            let pair = self.parts.get(i).and_then(|l| other.parts.get(i).map(|r| (l, r)));
-            let (left, right) = match pair {
-                Ok(p) => p,
+        let label = "zipPartitions";
+        let serial = self.parts.is_tracked() || other.parts.is_tracked();
+        self.run_narrow(label, serial, |i| {
+            match self.parts.get(i).and_then(|l| other.parts.get(i).map(|r| (l, r))) {
+                Ok((left, right)) => f(i, &left, &right),
                 Err((requested, budget)) => {
-                    self.breach("zipPartitions", requested, budget);
-                    return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
+                    self.breach(label, requested, budget);
+                    Vec::new()
                 }
-            };
-            if let Some(fc) = fc {
-                let run = run_with_retry(fc, "zipPartitions", stage, i as u32, FaultSurface::NarrowTask, || {
-                    f(i, &left, &right)
-                });
-                match run {
-                    Ok(tr) => runs.push(tr),
-                    Err(err) => {
-                        self.ctx.record_fault_event(
-                            tn::TASK_RETRIES,
-                            stage,
-                            err.partition,
-                            err.attempts.len() as u64,
-                        );
-                        self.ctx.fail(err);
-                        return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(n) };
-                    }
-                }
-            } else {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Task);
-                let ht = alloc::window_begin();
-                let out = f(i, &left, &right);
-                let w = alloc::window_end(ht);
-                drop(scope);
-                runs.push(TaskRun {
-                    out,
-                    sample: TaskSample {
-                        cpu_s: t0.elapsed_s(),
-                        start_ns,
-                        end_ns: now_ns(),
-                        tid: current_tid(),
-                        heap_peak_bytes: w.peak_bytes,
-                        heap_alloc_bytes: w.alloc_bytes,
-                    },
-                    attempts: Vec::new(),
-                    injected: 0,
-                });
             }
-        }
-        record_task_fault_events(&self.ctx, stage, &runs);
-        let samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-        let records: u64 = runs.iter().map(|r| r.out.len() as u64).sum();
-        let alloc_est = records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks("zipPartitions", &samples, records, alloc_est);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: Parts::Plain(Arc::new(runs.into_iter().map(|r| r.out).collect())),
-        }
+        })
     }
 
     /// Collect every record to the driver — an *action* that closes the
@@ -736,22 +554,8 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         if self.ctx.has_failed() {
             return Vec::new();
         }
-        let kind = self.ctx.serializer();
         let t0 = now_ns();
-        let per_partition: Vec<u64> = match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p).len() as u64),
-            // Tracked: serialize from streamed chunks serially, so the
-            // action never admits (or breaches) anything.
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| {
-                    let mut bytes = 0u64;
-                    self.parts.stream(i, &mut |chunk| {
-                        bytes += serialize_batch(kind, chunk).len() as u64;
-                    });
-                    bytes
-                })
-                .collect(),
-        };
+        let per_partition = self.serialized_sizes(self.ctx.serializer());
         self.ctx.record_serde(now_ns().saturating_sub(t0) as f64 * 1e-9);
         self.ctx.close_stage_collect("collect", per_partition);
         self.collect_local()
@@ -777,20 +581,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: GpfSerialize,
     {
-        match &self.parts {
-            Parts::Plain(v) => {
-                par::map(v, |p| serialize_batch(kind, p).len() as u64).into_iter().sum()
-            }
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| {
-                    let mut bytes = 0u64;
-                    self.parts.stream(i, &mut |chunk| {
-                        bytes += serialize_batch(kind, chunk).len() as u64;
-                    });
-                    bytes
-                })
-                .sum(),
-        }
+        self.serialized_sizes(kind).into_iter().sum()
     }
 
     /// Mark the dataset as cached (eager engine: data is already resident;
@@ -807,162 +598,78 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// GATK-Queue) whose steps hand intermediate SAM/BAM files to each other
     /// through the filesystem — the I/O pattern the paper's Table 1 blames
     /// for their poor scaling.
+    ///
+    /// Every spill buffer is checksummed when written; on read-back a
+    /// checksum, decode, or record-count mismatch recomputes the partition
+    /// from lineage (`self` still holds the pre-spill partitions) instead of
+    /// trusting the bytes. Under a fault plan the write side may flip a bit
+    /// ([`FaultSurface::Spill`]) and the read side may damage a *transient
+    /// copy* of a buffer ([`FaultSurface::SpillRead`]); both must be caught
+    /// by the same check.
     pub fn barrier_via_disk(&self, label: &str) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
     {
+        let n = self.parts.num();
         if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        if let Some(fc) = self.ctx.faults() {
-            return self.barrier_via_disk_ft(label, fc);
+            return failed(&self.ctx, n);
         }
         let kind = self.ctx.serializer();
-        let t0 = now_ns();
-        let bufs: Vec<Vec<u8>> = self.serialize_partitions(kind);
-        let ser_s = now_ns().saturating_sub(t0) as f64 * 1e-9;
-        // (wall time acceptable here: ser_s feeds the aggregate serde metric,
-        // not per-task durations)
-        let bytes: Vec<u64> = bufs.iter().map(|b| b.len() as u64).collect();
-        self.ctx.record_serde(ser_s);
-        self.ctx.close_stage_shuffle(label, bytes.clone(), bytes.clone());
-        let t1 = now_ns();
-        let parts: Vec<(Vec<T>, TaskSample)> = par::map(&bufs, |b| {
-            let start_ns = now_ns();
-            let t = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Spill);
-            let ht = alloc::window_begin();
-            let items: Vec<T> =
-                // gpf-lint: allow(no-panic): the buffer was produced by
-                // serialize_batch in the same shuffle a few lines above; a
-                // decode failure is engine corruption, not an input error.
-                deserialize_batch(kind, b).expect("engine-produced buffer is valid");
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t.elapsed_s();
-            (
-                items,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-            )
-        });
-        let de_samples: Vec<TaskSample> = parts.iter().map(|(_, s)| *s).collect();
-        let records: u64 = parts.iter().map(|(v, _)| v.len() as u64).sum();
-        let churn: u64 =
-            bytes.iter().sum::<u64>() + records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(&format!("{label}(read)"), &de_samples, records, churn);
-        self.ctx.record_serde(now_ns().saturating_sub(t1) as f64 * 1e-9);
-        Dataset {
-            ctx: Arc::clone(&self.ctx),
-            parts: output_parts(&self.ctx, parts.into_iter().map(|(v, _)| v).collect()),
-        }
-    }
-
-    /// Fault-tolerant [`Dataset::barrier_via_disk`]: every spill buffer is
-    /// checksummed when written; on read-back a checksum, decode, or record
-    /// count mismatch recomputes the partition from the in-memory lineage
-    /// (`self` still holds the pre-spill partitions) instead of trusting the
-    /// corrupt bytes. The read side additionally injects
-    /// [`FaultSurface::SpillRead`] damage (truncation or a flipped bit) into
-    /// a *transient copy* of the buffer — the durable bytes stay pristine —
-    /// which must be caught by the same checksum path.
-    fn barrier_via_disk_ft(&self, label: &str, fc: &FaultConfig) -> Dataset<T>
-    where
-        T: GpfSerialize + Clone,
-    {
-        if self.ctx.has_failed() {
-            return Dataset { ctx: Arc::clone(&self.ctx), parts: empty_parts(self.parts.num()) };
-        }
-        let kind = self.ctx.serializer();
+        let fc = self.ctx.faults();
         let stage = self.ctx.current_stage();
         let t0 = now_ns();
         let mut bufs: Vec<Vec<u8>> = self.serialize_partitions(kind);
         let sums: Vec<u64> = bufs.iter().map(|b| fnv64(b)).collect();
         let ser_s = now_ns().saturating_sub(t0) as f64 * 1e-9;
-        // Inject spill corruption driver-side, after the checksums were
+        // Spill corruption is injected driver-side, after the checksums were
         // taken over the correct bytes — detection must fire even when the
         // flipped bit would still decode.
-        for (i, buf) in bufs.iter_mut().enumerate() {
-            if fc.plan.decide(stage, i as u32, 0, FaultSurface::Spill)
-                == Some(FaultKind::CorruptSpill)
-                && corrupt_bit(buf, fc.plan.corruption_salt(stage, i as u32))
-            {
-                self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+        if let Some(fc) = fc {
+            for (i, buf) in bufs.iter_mut().enumerate() {
+                if fc.plan.decide(stage, i as u32, 0, FaultSurface::Spill)
+                    == Some(FaultKind::CorruptSpill)
+                    && corrupt_bit(buf, fc.plan.corruption_salt(stage, i as u32))
+                {
+                    self.ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+                }
             }
         }
         let bytes: Vec<u64> = bufs.iter().map(|b| b.len() as u64).collect();
         self.ctx.record_serde(ser_s);
         self.ctx.close_stage_shuffle(label, bytes.clone(), bytes.clone());
         let read_stage = self.ctx.current_stage();
+        let read_label = format!("{label}(read)");
         let t1 = now_ns();
-        let expected: Vec<usize> =
-            (0..self.parts.num()).map(|i| self.parts.part_len(i)).collect();
-        let parts: Vec<(Vec<T>, TaskSample, u64, u64)> = par::map_range(bufs.len(), |i| {
-            let start_ns = now_ns();
-            let t = TaskTimer::start();
-            let scope = alloc::scope(AllocTag::Spill);
-            let ht = alloc::window_begin();
-            // Read-side fault surface: TruncateSpill / CorruptSpillRead
-            // damage only the transient copy this read observed — the
-            // durable buffer stays pristine — so detection (below) plus
-            // lineage recompute must recover byte-identically.
-            let mut damaged: Vec<u8>;
-            let mut injected = 0u64;
-            let read_bytes: &[u8] =
-                match fc.plan.decide(read_stage, i as u32, 0, FaultSurface::SpillRead) {
-                    Some(fkind) => {
-                        damaged = bufs[i].clone();
-                        let salt = fc.plan.corruption_salt(read_stage, i as u32);
-                        if fkind == FaultKind::TruncateSpill {
-                            let keep = (salt % damaged.len().max(1) as u64) as usize;
-                            damaged.truncate(keep);
-                        } else {
-                            corrupt_bit(&mut damaged, salt);
-                        }
-                        injected = 1;
-                        &damaged
-                    }
-                    None => &bufs[i],
-                };
-            let ok = fnv64(read_bytes) == sums[i];
-            let decoded: Option<Vec<T>> = if ok {
-                match deserialize_batch(kind, read_bytes) {
-                    Ok(items) if items.len() == expected[i] => Some(items),
-                    _ => None,
+        let read = run_tasks(&self.ctx, &read_label, n, TaskKind::SpillRead, false, |i| {
+            let damage = fc.and_then(|fc| {
+                let fkind = fc.plan.decide(read_stage, i as u32, 0, FaultSurface::SpillRead)?;
+                let salt = fc.plan.corruption_salt(read_stage, i as u32);
+                let mut copy = bufs[i].clone();
+                if fkind == FaultKind::TruncateSpill {
+                    copy.truncate((salt % copy.len().max(1) as u64) as usize);
+                } else {
+                    corrupt_bit(&mut copy, salt);
                 }
-            } else {
-                None
+                Some(copy)
+            });
+            let injected = damage.is_some() as u64;
+            let read_bytes: &[u8] = damage.as_deref().unwrap_or(&bufs[i]);
+            let verified = fnv64(read_bytes) == sums[i];
+            let decoded = match verified.then(|| deserialize_batch(kind, read_bytes)) {
+                Some(Ok(items)) if items.len() == self.parts.part_len(i) => Some(items),
+                _ => None,
             };
-            let (items, recomputed) = match decoded {
-                Some(items) => (items, 0u64),
-                // Lineage recompute: the pre-spill partition is still
-                // resident, so a lost spill costs one clone, not a rerun.
-                None => (self.parts.part_to_vec(i), 1u64),
-            };
-            let w = alloc::window_end(ht);
-            drop(scope);
-            let cpu_s = t.elapsed_s();
-            (
-                items,
-                TaskSample {
-                    cpu_s,
-                    start_ns,
-                    end_ns: now_ns(),
-                    tid: current_tid(),
-                    heap_peak_bytes: w.peak_bytes,
-                    heap_alloc_bytes: w.alloc_bytes,
-                },
-                recomputed,
-                injected,
-            )
+            match decoded {
+                Some(items) => (items, 0u64, injected),
+                // Lineage recompute: the pre-spill partition is still held,
+                // so a lost spill costs one clone, not a rerun.
+                None => (self.parts.part_to_vec(i), 1u64, injected),
+            }
         });
-        for (i, (_, _, rec, inj)) in parts.iter().enumerate() {
+        let Some((parts, de_samples)) = read else {
+            return failed(&self.ctx, n);
+        };
+        for (i, (_, rec, inj)) in parts.iter().enumerate() {
             if *inj > 0 {
                 self.ctx.record_fault_event(tn::FAULT_INJECTED, read_stage, i as u32, *inj);
             }
@@ -970,15 +677,14 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                 self.ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, i as u32, *rec);
             }
         }
-        let de_samples: Vec<TaskSample> = parts.iter().map(|(_, s, _, _)| *s).collect();
-        let records: u64 = parts.iter().map(|(v, _, _, _)| v.len() as u64).sum();
+        let records: u64 = parts.iter().map(|(v, _, _)| v.len() as u64).sum();
         let churn: u64 =
             bytes.iter().sum::<u64>() + records * self.ctx.config().per_record_overhead_bytes;
-        self.ctx.record_tasks(&format!("{label}(read)"), &de_samples, records, churn);
+        self.ctx.record_tasks(&read_label, &de_samples, records, churn);
         self.ctx.record_serde(now_ns().saturating_sub(t1) as f64 * 1e-9);
         Dataset {
             ctx: Arc::clone(&self.ctx),
-            parts: output_parts(&self.ctx, parts.into_iter().map(|(v, _, _, _)| v).collect()),
+            parts: output_parts(&self.ctx, parts.into_iter().map(|(v, _, _)| v).collect()),
         }
     }
 
@@ -996,8 +702,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Opt this dataset into the memory-budget eviction policy: under a
     /// configured budget ([`crate::EngineConfig::with_memory_budget`]) its
-    /// partitions become spill-vs-recompute victims and map stages over
-    /// evicted partitions stream chunk-by-chunk. A no-op when no budget is
+    /// partitions become LRU eviction victims — a dirty partition is
+    /// spilled to checksummed frames, a clean one (its spill image already
+    /// exists) is dropped and re-read — and map stages over evicted
+    /// partitions stream chunk-by-chunk. A no-op when no budget is
     /// installed or the dataset is already tracked.
     pub fn evictable(&self) -> Dataset<T>
     where
@@ -1023,8 +731,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Serialized bytes currently sitting in spill frames for this dataset
-    /// (`0` for plain datasets). This is the volume `fsmodel`'s spill cost
-    /// model prices.
+    /// (`0` for plain datasets).
     pub fn spilled_bytes(&self) -> u64 {
         match &self.parts {
             Parts::Plain(_) => 0,
@@ -1033,9 +740,10 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Consuming [`Dataset::partition_by`]: when this handle holds the last
-    /// reference to its partitions, every record is *moved* into its shuffle
-    /// bucket instead of cloned. Use it when the source dataset is not
-    /// needed afterwards (the common case for pipeline intermediates).
+    /// reference to its partitions and no fault plan is installed, every
+    /// record is *moved* into its shuffle bucket instead of cloned. Use it
+    /// when the source dataset is not needed afterwards (the common case
+    /// for pipeline intermediates).
     pub fn into_partition_by(
         self,
         nparts: usize,
@@ -1099,6 +807,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         adaptive_shuffle(&ctx, parts, nbase, route_base, rebalance)
     }
 }
+
 
 impl<K, V> Dataset<(K, V)>
 where
@@ -1270,18 +979,17 @@ where
 
 /// One serialized bucket inside a map task's output buffer.
 ///
-/// Offsets, lengths and record counts are recorded *while writing*, so
-/// nothing re-traverses the serialized data afterwards: shuffle-write bytes
-/// come from the buffer length, shuffle-read bytes from summing one segment
-/// column, and the reduce side pre-sizes its output from the record counts.
+/// Offsets, lengths, record counts and checksums are recorded *while
+/// writing*, so nothing re-traverses the serialized data afterwards:
+/// shuffle-write bytes come from the buffer length, shuffle-read bytes from
+/// summing one segment column, and the reduce side pre-sizes its output
+/// from the record counts and verifies each segment against its checksum.
 #[derive(Clone, Copy)]
 struct BucketSeg {
     offset: usize,
     len: usize,
     records: usize,
-    /// FNV-1a over the segment's bytes when the shuffle runs under fault
-    /// tolerance; 0 (and unchecked) otherwise, so the fast path never pays
-    /// for hashing (DESIGN.md §11 documents this trade).
+    /// [`fnv64`] over the segment's bytes (0 for an empty segment).
     checksum: u64,
 }
 
@@ -1290,7 +998,6 @@ struct BucketSeg {
 struct MapTaskOut {
     data: Vec<u8>,
     segs: Vec<BucketSeg>,
-    sample: TaskSample,
     ser_s: f64,
 }
 
@@ -1346,11 +1053,10 @@ fn plan_routes<T>(
 }
 
 /// Serialize every bucket back-to-back into one pooled buffer, recording a
-/// [`BucketSeg`] per bucket as it is written.
+/// checksummed [`BucketSeg`] per bucket as it is written.
 fn serialize_buckets<T: GpfSerialize>(
     kind: SerializerKind,
     buckets: &[Vec<T>],
-    with_checksum: bool,
 ) -> (Vec<u8>, Vec<BucketSeg>) {
     let mut data = scratch_take();
     // Serialization allocations (scratch growth, codec temporaries) charge
@@ -1375,8 +1081,7 @@ fn serialize_buckets<T: GpfSerialize>(
             by.record(len as u64);
             recs.record(b.len() as u64);
         }
-        let checksum =
-            if with_checksum && len > 0 { fnv64(&data[offset..offset + len]) } else { 0 };
+        let checksum = if len > 0 { fnv64(&data[offset..offset + len]) } else { 0 };
         segs.push(BucketSeg { offset, len, records: b.len(), checksum });
     }
     if let Some((by, recs)) = &stats {
@@ -1386,34 +1091,43 @@ fn serialize_buckets<T: GpfSerialize>(
     (data, segs)
 }
 
-/// Shared tail of a map-side task: serialize the scattered buckets, close
-/// the task's heap window, and stamp the task sample. `heap` is the window
-/// the caller opened before routing, so the sample's heap columns cover
-/// the whole map task (scatter + serialize).
-fn finish_map_task<T: GpfSerialize>(
-    kind: SerializerKind,
-    buckets: Vec<Vec<T>>,
-    bucket_s: f64,
-    start_ns: u64,
-    with_checksum: bool,
-    heap: alloc::WindowToken,
-) -> MapTaskOut {
-    let t1 = TaskTimer::start();
-    let (data, segs) = serialize_buckets(kind, &buckets, with_checksum);
-    let ser_s = t1.elapsed_s();
-    let w = alloc::window_end(heap);
-    MapTaskOut {
-        data,
-        segs,
-        sample: TaskSample {
-            cpu_s: bucket_s + ser_s,
-            start_ns,
-            end_ns: now_ns(),
-            tid: current_tid(),
-            heap_peak_bytes: w.peak_bytes,
-            heap_alloc_bytes: w.alloc_bytes,
-        },
-        ser_s,
+/// What a [`run_tasks`] call runs: decides the tasks' heap attribution tag
+/// and whether the fault plan may inject into them.
+#[derive(Clone, Copy)]
+enum TaskKind {
+    /// A narrow-op task.
+    Narrow,
+    /// A shuffle map task (route + scatter + serialize).
+    ShuffleMap,
+    /// The adaptive shuffle's count pass.
+    Count,
+    /// A shuffle reduce task (verify + decode).
+    ShuffleRead,
+    /// A `barrier_via_disk` read-back task.
+    SpillRead,
+}
+
+impl TaskKind {
+    /// The fault surface whose `TaskPanic`/`Straggler` decisions apply to
+    /// this kind's tasks. Only narrow and map tasks are injection surfaces;
+    /// the others still retry a panic under a fault config but are never
+    /// injected into or speculated.
+    fn surface(self) -> Option<FaultSurface> {
+        match self {
+            TaskKind::Narrow => Some(FaultSurface::NarrowTask),
+            TaskKind::ShuffleMap => Some(FaultSurface::ShuffleMap),
+            TaskKind::Count | TaskKind::ShuffleRead | TaskKind::SpillRead => None,
+        }
+    }
+
+    fn tag(self) -> AllocTag {
+        match self {
+            TaskKind::Narrow => AllocTag::Task,
+            TaskKind::ShuffleMap => AllocTag::Shuffle,
+            TaskKind::Count => AllocTag::Repartition,
+            TaskKind::ShuffleRead => AllocTag::Serde,
+            TaskKind::SpillRead => AllocTag::Spill,
+        }
     }
 }
 
@@ -1429,15 +1143,6 @@ struct TaskRun<R> {
     injected: u32,
 }
 
-/// Heap attribution tag for a fault surface's task body.
-fn tag_for_surface(surface: FaultSurface) -> AllocTag {
-    match surface {
-        FaultSurface::NarrowTask => AllocTag::Task,
-        FaultSurface::ShuffleMap => AllocTag::Shuffle,
-        _ => AllocTag::Untagged,
-    }
-}
-
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         format!("panic: {s}")
@@ -1448,79 +1153,72 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run one task body under the fault plan: injected panics and real panics
-/// (captured via `catch_unwind`) consume attempts until the budget is
-/// exhausted; an injected straggler completes but with its measured window
+/// Run one task attempt: time it, attribute its heap under `tag`, and catch
+/// a panic as the attempt's failure cause. The one place a [`TaskSample`]
+/// is measured.
+fn timed<R>(tag: AllocTag, body: impl FnOnce() -> R) -> Result<(R, TaskSample), String> {
+    let start_ns = now_ns();
+    let t0 = TaskTimer::start();
+    let scope = alloc::scope(tag);
+    let ht = alloc::window_begin();
+    let out = catch_unwind(AssertUnwindSafe(body));
+    // A panicked attempt leaked its partial allocations past the window;
+    // the window still closes so the thread-local peak state stays
+    // balanced, and its stats go with the discarded attempt.
+    let w = alloc::window_end(ht);
+    drop(scope);
+    let out = out.map_err(panic_message)?;
+    let sample = TaskSample {
+        cpu_s: t0.elapsed_s(),
+        start_ns,
+        end_ns: now_ns(),
+        tid: current_tid(),
+        heap_peak_bytes: w.peak_bytes,
+        heap_alloc_bytes: w.alloc_bytes,
+    };
+    Ok((out, sample))
+}
+
+/// Run one task body, under the fault plan when one is installed: injected
+/// panics and real panics consume attempts until `1 + max_task_retries`
+/// are spent; an injected straggler completes but with its measured window
 /// inflated by [`FaultConfig::straggler_extra_ns`] (accounting-only — no
 /// sleeping — which is what keeps chaos runs fast and deterministic).
+/// Without a fault config a task gets exactly one attempt.
 fn run_with_retry<R>(
-    fc: &FaultConfig,
+    fc: Option<&FaultConfig>,
     label: &str,
     stage: u32,
     partition: u32,
-    surface: FaultSurface,
+    kind: TaskKind,
     body: impl Fn() -> R,
 ) -> Result<TaskRun<R>, EngineError> {
     let mut attempts: Vec<AttemptRecord> = Vec::new();
     let mut injected = 0u32;
     let mut attempt = 0u32;
     loop {
-        let backoff_ns = fc.backoff_ns(attempt);
-        let decision = fc.plan.decide(stage, partition, attempt, surface);
-        if decision == Some(FaultKind::TaskPanic) {
+        let decision = fc
+            .zip(kind.surface())
+            .and_then(|(fc, surface)| fc.plan.decide(stage, partition, attempt, surface));
+        let cause = if decision == Some(FaultKind::TaskPanic) {
             injected += 1;
-            attempts.push(AttemptRecord {
-                attempt,
-                cause: "injected: task panic".to_string(),
-                backoff_ns,
-            });
+            "injected: task panic".to_string()
         } else {
-            let start_ns = now_ns();
-            let t0 = TaskTimer::start();
-            let scope = alloc::scope(tag_for_surface(surface));
-            let ht = alloc::window_begin();
-            match catch_unwind(AssertUnwindSafe(&body)) {
-                Ok(out) => {
-                    let w = alloc::window_end(ht);
-                    drop(scope);
-                    let mut cpu_s = t0.elapsed_s();
-                    let mut end_ns = now_ns();
-                    if decision == Some(FaultKind::Straggler) {
+            match timed(kind.tag(), &body) {
+                Ok((out, mut sample)) => {
+                    if let (Some(FaultKind::Straggler), Some(fc)) = (decision, fc) {
                         injected += 1;
-                        end_ns = end_ns.saturating_add(fc.straggler_extra_ns);
-                        cpu_s += fc.straggler_extra_ns as f64 * 1e-9;
+                        sample.end_ns = sample.end_ns.saturating_add(fc.straggler_extra_ns);
+                        sample.cpu_s += fc.straggler_extra_ns as f64 * 1e-9;
                     }
-                    return Ok(TaskRun {
-                        out,
-                        sample: TaskSample {
-                            cpu_s,
-                            start_ns,
-                            end_ns,
-                            tid: current_tid(),
-                            heap_peak_bytes: w.peak_bytes,
-                            heap_alloc_bytes: w.alloc_bytes,
-                        },
-                        attempts,
-                        injected,
-                    });
+                    return Ok(TaskRun { out, sample, attempts, injected });
                 }
-                Err(payload) => {
-                    // A panicked attempt leaked its partial allocations past
-                    // the window; close it for balance and discard the stats.
-                    // gpf-lint: allow(swallowed-error): heap stats of a failed
-                    // attempt are meaningless; the window must still close so
-                    // the thread-local peak state stays balanced.
-                    let _ = alloc::window_end(ht);
-                    drop(scope);
-                    attempts.push(AttemptRecord {
-                        attempt,
-                        cause: panic_message(payload),
-                        backoff_ns,
-                    });
-                }
+                Err(cause) => cause,
             }
-        }
-        if attempt >= fc.max_task_retries {
+        };
+        let backoff_ns = fc.map_or(0, |fc| fc.backoff_ns(attempt));
+        attempts.push(AttemptRecord { attempt, cause, backoff_ns });
+        if attempt >= fc.map_or(0, |fc| fc.max_task_retries) {
             return Err(EngineError { label: label.to_string(), stage, partition, attempts });
         }
         attempt += 1;
@@ -1537,46 +1235,33 @@ fn speculate<R>(
     ctx: &EngineContext,
     fc: &FaultConfig,
     stage: u32,
+    kind: TaskKind,
     runs: &mut [TaskRun<R>],
     rerun: impl Fn(usize) -> R,
 ) {
     if !fc.speculation || runs.len() < 2 {
         return;
     }
-    let mut durs: Vec<u64> =
-        runs.iter().map(|r| r.sample.end_ns.saturating_sub(r.sample.start_ns)).collect();
+    let dur = |s: &TaskSample| s.end_ns.saturating_sub(s.start_ns);
+    let mut durs: Vec<u64> = runs.iter().map(|r| dur(&r.sample)).collect();
     durs.sort_unstable();
     let median = durs[durs.len() / 2];
     if median == 0 {
         return;
     }
     let threshold = (median as f64 * fc.speculation_multiplier) as u64;
-    for i in 0..runs.len() {
-        let dur = runs[i].sample.end_ns.saturating_sub(runs[i].sample.start_ns);
-        if dur <= threshold {
+    for (i, run) in runs.iter_mut().enumerate() {
+        if dur(&run.sample) <= threshold {
             continue;
         }
         ctx.record_fault_event(tn::SPEC_LAUNCHED, stage, i as u32, 1);
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Task);
-        let ht = alloc::window_begin();
-        let out = rerun(i);
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        let end_ns = now_ns();
-        if end_ns.saturating_sub(start_ns) < dur {
-            runs[i].out = out;
-            runs[i].sample = TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns,
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            };
-            ctx.record_fault_event(tn::SPEC_WON, stage, i as u32, 1);
+        // A duplicate that panics simply loses to the original.
+        if let Ok((out, sample)) = timed(kind.tag(), || rerun(i)) {
+            if dur(&sample) < dur(&run.sample) {
+                run.out = out;
+                run.sample = sample;
+                ctx.record_fault_event(tn::SPEC_WON, stage, i as u32, 1);
+            }
         }
     }
 }
@@ -1592,6 +1277,58 @@ fn record_task_fault_events<R>(ctx: &EngineContext, stage: u32, runs: &[TaskRun<
             ctx.record_fault_event(tn::TASK_RETRIES, stage, i as u32, r.attempts.len() as u64);
         }
     }
+}
+
+/// The task runner every operator goes through: runs `body` for each task
+/// index in `0..n` — in parallel, or one at a time when `serial` (the
+/// budget-tracked rung of DESIGN.md §16c) — under [`run_with_retry`], then
+/// speculates stragglers of injectable parallel stages and records the
+/// recovery events.
+///
+/// Returns each task's output and sample in index order, or `None` once the
+/// context holds a failure: a task that exhausted its attempts is recorded
+/// here, and a body may record a typed failure itself (a budget breach, an
+/// unverifiable shuffle segment) and return an empty output. A serial run
+/// stops at the first failure.
+fn run_tasks<R: Send>(
+    ctx: &EngineContext,
+    label: &str,
+    n: usize,
+    kind: TaskKind,
+    serial: bool,
+    body: impl Fn(usize) -> R + Sync,
+) -> Option<(Vec<R>, Vec<TaskSample>)> {
+    let stage = ctx.current_stage();
+    let fc = ctx.faults();
+    let task = |i: usize| run_with_retry(fc, label, stage, i as u32, kind, || body(i));
+    let results: Vec<Result<TaskRun<R>, EngineError>> = if serial {
+        let mut results = Vec::with_capacity(n);
+        for i in 0..n {
+            if ctx.has_failed() || results.last().is_some_and(|r: &Result<_, _>| r.is_err()) {
+                break;
+            }
+            results.push(task(i));
+        }
+        results
+    } else {
+        par::map_range(n, task)
+    };
+    let mut runs = match results.into_iter().collect::<Result<Vec<_>, _>>() {
+        Ok(runs) => runs,
+        Err(err) => {
+            ctx.record_fault_event(tn::TASK_RETRIES, stage, err.partition, err.attempts.len() as u64);
+            ctx.fail(err);
+            return None;
+        }
+    };
+    if ctx.has_failed() {
+        return None;
+    }
+    if let (Some(fc), Some(_), false) = (fc, kind.surface(), serial) {
+        speculate(ctx, fc, stage, kind, &mut runs, &body);
+    }
+    record_task_fault_events(ctx, stage, &runs);
+    Some(runs.into_iter().map(|r| (r.out, r.sample)).unzip())
 }
 
 /// A driver-side rebalance decision: the final (post-split) layout an
@@ -1629,12 +1366,12 @@ pub struct RebalancePlan<T> {
 ///
 /// The count pass is recorded as a narrow op into the *open* stage, so the
 /// statistics cost shows up in the same stage as the shuffle map tasks —
-/// mirroring where Spark's AQE pays for its map statistics. Driver
-/// aggregation between the two passes is a plain vector sum. The data
-/// movement itself delegates to [`shuffle`] with the plan's final routing,
-/// which means the fault-tolerant path ([`shuffle_ft`]) and its lineage
-/// recompute automatically resolve *final* partition ids — a corrupted
-/// bucket on a split piece recomputes exactly that piece.
+/// mirroring where Spark's AQE pays for its map statistics. It is not a
+/// fault-injection surface. Driver aggregation between the two passes is a
+/// plain vector sum. The data movement itself delegates to [`shuffle`] with
+/// the plan's final routing, so lineage recompute resolves *final*
+/// partition ids — a corrupted bucket on a split piece recomputes exactly
+/// that piece.
 fn adaptive_shuffle<T>(
     ctx: &Arc<EngineContext>,
     parts: Parts<T>,
@@ -1647,15 +1384,12 @@ where
 {
     assert!(nbase > 0, "adaptive shuffle needs at least one base partition");
     if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nbase) };
+        return failed(ctx, nbase);
     }
     // Count pass: per-map-partition histograms over base ids, streamed so an
     // evicted partition never has to rematerialize just to be counted.
-    let hists: Vec<(Vec<u64>, TaskSample)> = par::map_range(parts.num(), |i| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Repartition);
-        let ht = alloc::window_begin();
+    let label = crate::metrics::names::REPARTITION_COUNT;
+    let counted = run_tasks(ctx, label, parts.num(), TaskKind::Count, false, |i| {
         let mut h = vec![0u64; nbase];
         parts.stream(i, &mut |chunk| {
             for item in chunk {
@@ -1664,27 +1398,16 @@ where
                 h[r] += 1;
             }
         });
-        let w = alloc::window_end(ht);
-        drop(scope);
-        (
-            h,
-            TaskSample {
-                cpu_s: t0.elapsed_s(),
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-        )
+        h
     });
-    let samples: Vec<TaskSample> = hists.iter().map(|(_, s)| *s).collect();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
-    ctx.record_tasks(crate::metrics::names::REPARTITION_COUNT, &samples, records, 0);
+    let Some((hists, samples)) = counted else {
+        return failed(ctx, nbase);
+    };
+    ctx.record_tasks(label, &samples, parts.total_len() as u64, 0);
     // Driver side: aggregate the histograms and let the caller decide the
     // final layout from them.
     let mut counts = vec![0u64; nbase];
-    for (h, _) in &hists {
+    for h in &hists {
         for (c, &v) in counts.iter_mut().zip(h) {
             *c += v;
         }
@@ -1695,15 +1418,31 @@ where
     shuffle(ctx, parts, plan.n_final, "partitionByAdaptive", plan.route)
 }
 
-/// The shuffle: route, scatter, serialize, exchange, deserialize — with the
-/// same metrics as [`shuffle_reference`] but none of its per-record clones
-/// or per-bucket buffers.
+/// A shuffle's map-side input.
+enum MapInput<T> {
+    /// Partitions the shuffle owns outright: records are moved into their
+    /// buckets and no lineage survives the map side. Each cell is taken
+    /// exactly once, by the one attempt its task gets without a fault plan.
+    Owned(Vec<Mutex<Vec<T>>>),
+    /// Shared partitions: records are cloned into buckets and the input is
+    /// kept as lineage to recompute a segment that fails verification.
+    Lineage(Parts<T>),
+}
+
+/// The shuffle: route, scatter, serialize, checksum, exchange, verify,
+/// deserialize — with the same outputs and metrics as [`shuffle_reference`]
+/// but none of its per-record clones or per-bucket buffers.
 ///
 /// Takes the partition `Arc` by value: when the caller held the only
 /// reference (consuming APIs like [`Dataset::into_partition_by`] or
-/// internal intermediates like `reduceByKey`'s map-side combine), records
-/// are *moved* into their buckets; otherwise each record is cloned exactly
-/// once, as before.
+/// internal intermediates like `reduceByKey`'s map-side combine) and no
+/// fault plan is installed, records are *moved* into their buckets;
+/// otherwise each record is cloned exactly once and the input stays
+/// resident as lineage. Every segment is checksummed on write; the reduce
+/// side verifies checksum and decoded record count, recomputes a failed
+/// segment from lineage when lineage is held (same routing, same order, so
+/// the recovered bytes are byte-identical), and otherwise fails the stage
+/// with a typed [`EngineError`].
 fn shuffle<T>(
     ctx: &Arc<EngineContext>,
     parts: Parts<T>,
@@ -1716,88 +1455,84 @@ where
 {
     assert!(nparts > 0, "shuffle needs at least one output partition");
     if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
-    }
-    if let Some(fc) = ctx.faults() {
-        return shuffle_ft(ctx, fc, parts, nparts, label, route);
+        return failed(ctx, nparts);
     }
     let kind = ctx.serializer();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
-
-    // Map side: one routing pass plans the scatter, then records move (or,
-    // when the source dataset is still live, clone) into pre-sized buckets.
-    // Tracked inputs stream chunk-by-chunk instead: an evicted partition is
-    // routed one spill frame at a time, never rematerialized whole.
-    let map_out: Vec<MapTaskOut> = match parts {
-        Parts::Plain(arc) => match Arc::try_unwrap(arc) {
-            Ok(owned) => {
-                if gpf_trace::enabled() {
-                    gpf_trace::counter(tn::SHUFFLE_PARTITIONS_MOVED).add(owned.len() as u64);
-                }
-                par::map_vec(owned, |p| {
-                    let start_ns = now_ns();
-                    let t0 = TaskTimer::start();
-                    let scope = alloc::scope(AllocTag::Shuffle);
-                    let ht = alloc::window_begin();
-                    let (routes, counts) = plan_routes(&p, nparts, &route);
-                    let mut buckets: Vec<Vec<T>> =
-                        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                    for (item, &r) in p.into_iter().zip(&routes) {
-                        buckets[r as usize].push(item);
-                    }
-                    let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                    drop(scope);
-                    out
-                })
-            }
-            Err(shared) => {
-                if gpf_trace::enabled() {
-                    gpf_trace::counter(tn::SHUFFLE_PARTITIONS_CLONED).add(shared.len() as u64);
-                }
-                par::map(&shared, |p| {
-                    let start_ns = now_ns();
-                    let t0 = TaskTimer::start();
-                    let scope = alloc::scope(AllocTag::Shuffle);
-                    let ht = alloc::window_begin();
-                    let (routes, counts) = plan_routes(p, nparts, &route);
-                    let mut buckets: Vec<Vec<T>> =
-                        counts.iter().map(|&c| Vec::with_capacity(c)).collect();
-                    for (item, &r) in p.iter().zip(&routes) {
-                        buckets[r as usize].push(item.clone());
-                    }
-                    let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                    drop(scope);
-                    out
-                })
-            }
+    let fc = ctx.faults();
+    let stage = ctx.current_stage();
+    let n = parts.num();
+    let records = parts.total_len() as u64;
+    let input = match parts {
+        Parts::Plain(arc) if fc.is_none() => match Arc::try_unwrap(arc) {
+            Ok(owned) => MapInput::Owned(owned.into_iter().map(Mutex::new).collect()),
+            Err(shared) => MapInput::Lineage(Parts::Plain(shared)),
         },
-        Parts::Tracked(store) => {
-            if gpf_trace::enabled() {
-                gpf_trace::counter(tn::SHUFFLE_PARTITIONS_CLONED).add(store.num_parts() as u64);
+        other => MapInput::Lineage(other),
+    };
+    if gpf_trace::enabled() {
+        let name = match input {
+            MapInput::Owned(_) => tn::SHUFFLE_PARTITIONS_MOVED,
+            MapInput::Lineage(_) => tn::SHUFFLE_PARTITIONS_CLONED,
+        };
+        gpf_trace::counter(name).add(n as u64);
+    }
+
+    // Map side: one routing pass per chunk plans the scatter into pre-sized
+    // buckets; lineage inputs stream chunk-by-chunk, so an evicted partition
+    // is routed one spill frame at a time, never rematerialized whole.
+    let mapped = run_tasks(ctx, label, n, TaskKind::ShuffleMap, false, |i| {
+        let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
+        match &input {
+            MapInput::Owned(cells) => {
+                let p = std::mem::take(&mut *cells[i].lock());
+                let (routes, counts) = plan_routes(&p, nparts, &route);
+                for (b, &c) in buckets.iter_mut().zip(&counts) {
+                    b.reserve_exact(c);
+                }
+                for (item, &r) in p.into_iter().zip(&routes) {
+                    buckets[r as usize].push(item);
+                }
             }
-            par::map_range(store.num_parts(), |i| {
-                let start_ns = now_ns();
-                let t0 = TaskTimer::start();
-                let scope = alloc::scope(AllocTag::Shuffle);
-                let ht = alloc::window_begin();
-                let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-                store.stream(i, &mut |chunk| {
-                    let (routes, counts) = plan_routes(chunk, nparts, &route);
-                    for (b, &c) in buckets.iter_mut().zip(&counts) {
-                        b.reserve(c);
-                    }
-                    for (item, &r) in chunk.iter().zip(&routes) {
-                        buckets[r as usize].push(item.clone());
-                    }
-                });
-                let out = finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, false, ht);
-                drop(scope);
-                out
-            })
+            MapInput::Lineage(lineage) => lineage.stream(i, &mut |chunk| {
+                let (routes, counts) = plan_routes(chunk, nparts, &route);
+                for (b, &c) in buckets.iter_mut().zip(&counts) {
+                    b.reserve(c);
+                }
+                for (item, &r) in chunk.iter().zip(&routes) {
+                    buckets[r as usize].push(item.clone());
+                }
+            }),
         }
+        let t = TaskTimer::start();
+        let (data, segs) = serialize_buckets(kind, &buckets);
+        MapTaskOut { data, segs, ser_s: t.elapsed_s() }
+    });
+    let Some((mut map_out, map_samples)) = mapped else {
+        return failed(ctx, nparts);
     };
 
-    let map_samples: Vec<TaskSample> = map_out.iter().map(|m| m.sample).collect();
+    // Bucket corruption is injected driver-side, after the map side
+    // checksummed the correct bytes — the reduce-side verify must fire even
+    // if the flipped bit would still decode to something.
+    if let Some(fc) = fc {
+        for (i, m) in map_out.iter_mut().enumerate() {
+            if fc.plan.decide(stage, i as u32, 0, FaultSurface::ShuffleBucket)
+                != Some(FaultKind::CorruptBucket)
+            {
+                continue;
+            }
+            let nonempty: Vec<usize> = (0..m.segs.len()).filter(|&j| m.segs[j].len > 0).collect();
+            if nonempty.is_empty() {
+                continue;
+            }
+            let salt = fc.plan.corruption_salt(stage, i as u32);
+            let seg = m.segs[nonempty[(salt % nonempty.len() as u64) as usize]];
+            if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
+                ctx.record_fault_event(tn::FAULT_INJECTED, stage, i as u32, 1);
+            }
+        }
+    }
+
     let ser_s: f64 = map_out.iter().map(|m| m.ser_s).sum();
     // Transfer sizes come straight from the segment index recorded while
     // writing — no second traversal of the serialized buffers.
@@ -1808,178 +1543,14 @@ where
     ctx.record_tasks(label, &map_samples, records, 0);
     ctx.record_serde(ser_s);
     ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
-
-    // Reduce side: deserialize segments in map order into one output vector
-    // pre-sized from the per-bucket record counts.
-    let reduce_out: Vec<(Vec<T>, TaskSample)> = par::map_range(nparts, |t| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Serde);
-        let ht = alloc::window_begin();
-        let expected: usize = map_out.iter().map(|m| m.segs[t].records).sum();
-        let mut out: Vec<T> = Vec::with_capacity(expected);
-        for m in &map_out {
-            let seg = m.segs[t];
-            if seg.len == 0 {
-                continue;
-            }
-            let n =
-                deserialize_batch_into(kind, &m.data[seg.offset..seg.offset + seg.len], &mut out)
-                    // gpf-lint: allow(no-panic): map-side serialize_batch_into
-                    // produced this segment in the same shuffle; a decode
-                    // failure is engine corruption, not an input error.
-                    .expect("engine-produced buffer is valid");
-            // The pre-sizing above trusted the segment index; verify it
-            // against what actually decoded instead of silently mis-sizing.
-            assert_eq!(
-                n, seg.records,
-                "shuffle segment index records {} but {} decoded",
-                seg.records, n
-            );
-        }
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        (
-            out,
-            TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-        )
-    });
-    for m in map_out {
-        scratch_put(m.data);
-    }
-    let de_samples: Vec<TaskSample> = reduce_out.iter().map(|(_, s)| *s).collect();
-    let de_s: f64 = de_samples.iter().map(|s| s.cpu_s).sum();
-    let out_records: u64 = reduce_out.iter().map(|(v, _)| v.len() as u64).sum();
-    // Deserialized shuffle data is fresh heap churn (the GC driver).
-    let churn: u64 = read_bytes.iter().sum::<u64>()
-        + out_records * ctx.config().per_record_overhead_bytes;
-    ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
-    ctx.record_serde(de_s);
-    Dataset {
-        ctx: Arc::clone(ctx),
-        parts: output_parts(ctx, reduce_out.into_iter().map(|(v, _)| v).collect()),
-    }
-}
-
-/// Fault-tolerant [`shuffle`]: map tasks run under [`run_with_retry`] and
-/// speculate duplicates, every bucket segment is checksummed, and the
-/// reduce side recomputes any segment that fails its checksum, decode, or
-/// record-count check from the owning input partition (lineage = the
-/// routing closure + the input, which stays resident for exactly this).
-///
-/// Always takes the clone path — the input partitions must outlive the map
-/// side to serve as lineage, so the move optimization is deliberately
-/// traded away while faults are on.
-fn shuffle_ft<T>(
-    ctx: &Arc<EngineContext>,
-    fc: &FaultConfig,
-    parts: Parts<T>,
-    nparts: usize,
-    label: &str,
-    route: impl Fn(&T) -> usize + Send + Sync,
-) -> Dataset<T>
-where
-    T: GpfSerialize + Clone + Send + Sync + 'static,
-{
-    if ctx.has_failed() {
-        return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
-    }
-    let kind = ctx.serializer();
-    let stage = ctx.current_stage();
-    let lineage = parts;
-    let records: u64 = (0..lineage.num()).map(|i| lineage.part_len(i) as u64).sum();
-
-    let map_body = |i: usize| -> MapTaskOut {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        // run_with_retry opens the outer (attributing) scope and window for
-        // this body; this inner window only feeds the MapTaskOut sample.
-        let ht = alloc::window_begin();
-        let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
-        lineage.stream(i, &mut |chunk| {
-            let (routes, counts) = plan_routes(chunk, nparts, &route);
-            for (b, &c) in buckets.iter_mut().zip(&counts) {
-                b.reserve(c);
-            }
-            for (item, &r) in chunk.iter().zip(&routes) {
-                buckets[r as usize].push(item.clone());
-            }
-        });
-        finish_map_task(kind, buckets, t0.elapsed_s(), start_ns, true, ht)
-    };
-    let results: Vec<Result<TaskRun<MapTaskOut>, EngineError>> =
-        par::map_range(lineage.num(), |i| {
-            run_with_retry(fc, label, stage, i as u32, FaultSurface::ShuffleMap, || map_body(i))
-        });
-    let mut runs: Vec<TaskRun<MapTaskOut>> = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(tr) => runs.push(tr),
-            Err(err) => {
-                ctx.record_fault_event(
-                    tn::TASK_RETRIES,
-                    stage,
-                    err.partition,
-                    err.attempts.len() as u64,
-                );
-                ctx.fail(err);
-                return Dataset { ctx: Arc::clone(ctx), parts: empty_parts(nparts) };
-            }
-        }
-    }
-    speculate(ctx, fc, stage, &mut runs, &map_body);
-
-    // Bucket corruption is injected driver-side, after the map side
-    // checksummed the correct bytes — the reduce-side verify must fire even
-    // if the flipped bit would still decode to something.
-    for (i, run) in runs.iter_mut().enumerate() {
-        if fc.plan.decide(stage, i as u32, 0, FaultSurface::ShuffleBucket)
-            != Some(FaultKind::CorruptBucket)
-        {
-            continue;
-        }
-        let m = &mut run.out;
-        let nonempty: Vec<usize> = (0..m.segs.len()).filter(|&j| m.segs[j].len > 0).collect();
-        if nonempty.is_empty() {
-            continue;
-        }
-        let salt = fc.plan.corruption_salt(stage, i as u32);
-        let seg = m.segs[nonempty[(salt % nonempty.len() as u64) as usize]];
-        if corrupt_bit(&mut m.data[seg.offset..seg.offset + seg.len], salt) {
-            run.injected += 1;
-        }
-    }
-    record_task_fault_events(ctx, stage, &runs);
-
-    let map_samples: Vec<TaskSample> = runs.iter().map(|r| r.sample).collect();
-    let ser_s: f64 = runs.iter().map(|r| r.out.ser_s).sum();
-    let map_out: Vec<MapTaskOut> = runs.into_iter().map(|r| r.out).collect();
-    let write_bytes: Vec<u64> = map_out.iter().map(|m| m.data.len() as u64).collect();
-    let read_bytes: Vec<u64> = (0..nparts)
-        .map(|t| map_out.iter().map(|m| m.segs[t].len as u64).sum())
-        .collect();
-    ctx.record_tasks(label, &map_samples, records, 0);
-    ctx.record_serde(ser_s);
-    ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
     let read_stage = ctx.current_stage();
+    let read_label = format!("{label}(read)");
 
-    // Reduce side: verify → decode → count-check every segment; any failure
-    // discards the segment's partial output and recomputes its records from
-    // the owning input partition (same routing closure, same order, so the
-    // recovered bytes are byte-identical to the lost ones).
-    let reduce_out: Vec<(Vec<T>, TaskSample, u64)> = par::map_range(nparts, |t| {
-        let start_ns = now_ns();
-        let t0 = TaskTimer::start();
-        let scope = alloc::scope(AllocTag::Serde);
-        let ht = alloc::window_begin();
+    // Reduce side: verify → decode → count-check every segment in map
+    // order into one output vector pre-sized from the segment index; a
+    // failed segment discards its partial output and is recomputed from the
+    // owning input partition.
+    let reduced = run_tasks(ctx, &read_label, nparts, TaskKind::ShuffleRead, false, |t| {
         let expected: usize = map_out.iter().map(|m| m.segs[t].records).sum();
         let mut out: Vec<T> = Vec::with_capacity(expected);
         let mut recomputes = 0u64;
@@ -1990,53 +1561,57 @@ where
             }
             let base = out.len();
             let bytes = &m.data[seg.offset..seg.offset + seg.len];
-            let ok = fnv64(bytes) == seg.checksum
-                && match deserialize_batch_into(kind, bytes, &mut out) {
-                    Ok(n) => n == seg.records,
-                    Err(_) => false,
-                };
-            if !ok {
-                out.truncate(base);
-                lineage.stream(mi, &mut |chunk| {
-                    out.extend(chunk.iter().filter(|item| route(item) == t).cloned());
-                });
-                recomputes += 1;
+            let verified = fnv64(bytes) == seg.checksum;
+            let decoded = verified
+                && matches!(deserialize_batch_into(kind, bytes, &mut out), Ok(n) if n == seg.records);
+            if decoded {
+                continue;
             }
+            out.truncate(base);
+            let MapInput::Lineage(lineage) = &input else {
+                ctx.fail(EngineError {
+                    label: read_label.clone(),
+                    stage: read_stage,
+                    partition: t as u32,
+                    attempts: vec![AttemptRecord {
+                        attempt: 0,
+                        cause: format!(
+                            "shuffle segment from map task {mi} failed checksum or record-count \
+                             verification, and its records were moved, so no lineage is held"
+                        ),
+                        backoff_ns: 0,
+                    }],
+                });
+                return (Vec::new(), 0);
+            };
+            lineage.stream(mi, &mut |chunk| {
+                out.extend(chunk.iter().filter(|item| route(item) == t).cloned());
+            });
+            recomputes += 1;
         }
-        let w = alloc::window_end(ht);
-        drop(scope);
-        let cpu_s = t0.elapsed_s();
-        (
-            out,
-            TaskSample {
-                cpu_s,
-                start_ns,
-                end_ns: now_ns(),
-                tid: current_tid(),
-                heap_peak_bytes: w.peak_bytes,
-                heap_alloc_bytes: w.alloc_bytes,
-            },
-            recomputes,
-        )
+        (out, recomputes)
     });
     for m in map_out {
         scratch_put(m.data);
     }
-    for (t, (_, _, rec)) in reduce_out.iter().enumerate() {
+    let Some((reduce_out, de_samples)) = reduced else {
+        return failed(ctx, nparts);
+    };
+    for (t, (_, rec)) in reduce_out.iter().enumerate() {
         if *rec > 0 {
             ctx.record_fault_event(tn::SHUFFLE_RECOMPUTED, read_stage, t as u32, *rec);
         }
     }
-    let de_samples: Vec<TaskSample> = reduce_out.iter().map(|(_, s, _)| *s).collect();
     let de_s: f64 = de_samples.iter().map(|s| s.cpu_s).sum();
-    let out_records: u64 = reduce_out.iter().map(|(v, _, _)| v.len() as u64).sum();
+    let out_records: u64 = reduce_out.iter().map(|(v, _)| v.len() as u64).sum();
+    // Deserialized shuffle data is fresh heap churn (the GC driver).
     let churn: u64 = read_bytes.iter().sum::<u64>()
         + out_records * ctx.config().per_record_overhead_bytes;
-    ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
+    ctx.record_tasks(&read_label, &de_samples, out_records, churn);
     ctx.record_serde(de_s);
     Dataset {
         ctx: Arc::clone(ctx),
-        parts: output_parts(ctx, reduce_out.into_iter().map(|(v, _, _)| v).collect()),
+        parts: output_parts(ctx, reduce_out.into_iter().map(|(v, _)| v).collect()),
     }
 }
 
@@ -2495,4 +2070,45 @@ mod tests {
         let m = d.map(|kv| kv.0);
         assert_eq!(m.num_partitions(), 3);
     }
+
+    #[test]
+    fn fnv64_detects_every_bit_flip_and_truncation() {
+        // CorruptBucket / CorruptSpill / TruncateSpill recovery relies on
+        // the checksum changing under exactly these two kinds of damage.
+        let mut rng = gpf_support::rng::SplitMix64::new(0xc4ec_5a17);
+        let (mut flips, mut truncations) = (0usize, 0usize);
+        for len in [0usize, 1, 7, 8, 9, 31, 32, 33, 63, 65, 255, 1000, 4096] {
+            let buf: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            let sum = fnv64(&buf);
+            let mut damaged = buf.clone();
+            for bit in 0..len * 8 {
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                assert_ne!(fnv64(&damaged), sum, "flip of bit {bit} in a {len}-byte buffer");
+                damaged[bit / 8] ^= 1 << (bit % 8);
+                flips += 1;
+            }
+            for keep in 0..len {
+                assert_ne!(fnv64(&buf[..keep]), sum, "truncation of {len} bytes to {keep}");
+                truncations += 1;
+            }
+        }
+        assert!(flips >= 32_768, "{flips} flips");
+        assert!(truncations >= 4_096, "{truncations} truncations");
+    }
+
+    #[test]
+    fn out_of_range_router_is_a_typed_failure() {
+        let c = ctx();
+        let d = Dataset::from_vec(Arc::clone(&c), (0u64..40).collect(), 4);
+        let p = d.partition_by(4, |x| *x as usize);
+        assert_eq!(p.num_partitions(), 4);
+        assert!(p.is_empty(), "a failed shuffle yields an empty dataset");
+        let err = c.take_failure().expect("the router's panic is recorded as a task failure");
+        assert_eq!(err.label, "partitionBy");
+        assert_eq!(err.partition, 0);
+        assert_eq!(err.attempts.len(), 1, "no fault config: one attempt");
+        let cause = &err.attempts[0].cause;
+        assert!(cause.contains("router produced partition"), "{cause}");
+    }
 }
+

@@ -185,12 +185,14 @@ pub fn corrupt_bit(bytes: &mut [u8], salt: u64) -> bool {
 }
 
 /// Fault-tolerance configuration, carried by
-/// [`crate::EngineConfig::faults`]. `None` there means every fault path in
-/// the engine is compiled in but skipped — the zero-overhead default.
+/// [`crate::EngineConfig::faults`]. `None` there means one attempt per task,
+/// no injection and no speculation; checksums and lineage recompute do not
+/// depend on it.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// The injection schedule (use [`FaultPlan::seeded`]`(seed, 0)` for a
-    /// plan that injects nothing but still enables checksums + recovery).
+    /// plan that injects nothing but still enables retries and
+    /// speculation).
     pub plan: FaultPlan,
     /// Retries allowed per task after its first attempt; a task failing
     /// `1 + max_task_retries` times surfaces an [`EngineError`].

@@ -6,7 +6,7 @@
 # regression, not a hiccup.
 #
 # Usage:
-#   scripts/ci.sh          # build + test + clippy + bench smoke
+#   scripts/ci.sh          # build + test + perfbench tests + clippy + bench smoke
 #   scripts/ci.sh quick    # build + test only
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -32,6 +32,12 @@ cargo test -q --offline --workspace
 if [[ "${1:-}" == "quick" ]]; then
     exit 0
 fi
+
+echo "== perfbench tests (end-to-end calls digest on every workload) =="
+# Separate manifest (perfbench/ is its own package): checks that every
+# benchmark workload reproduces the plain-wgs calls digest, so an engine
+# refactor that changes any call fails here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "== model check (gpf-check: schedule explorer + race detector) =="
 # Separate target dir: --cfg gpf_check changes every crate's fingerprint,
