@@ -188,7 +188,7 @@ impl BwaMemAligner {
             }
             for off in offsets {
                 let pattern = &oriented[off..off + sl];
-                if pattern.iter().any(|&b| b == b'N') {
+                if pattern.contains(&b'N') {
                     continue;
                 }
                 if let Some((lo, hi)) = self.index.backward_search(pattern) {
@@ -335,7 +335,7 @@ impl BwaMemAligner {
         while diag + oriented.len() / 2 < window.len() {
             if let Some(aln) = fit_align(&read_ranks, window, diag, &self.opts.scoring) {
                 if (aln.score as f64) >= threshold
-                    && best.as_ref().map_or(true, |b| aln.score > b.score)
+                    && best.as_ref().is_none_or(|b| aln.score > b.score)
                 {
                     best = Some(Candidate {
                         contig: anchor.contig,

@@ -47,7 +47,7 @@ pub fn fit_align_ref(
         for j in lo(i)..hi(i) {
             let cell = at(i, j);
             // M: consume read[i-1] and window[j-1].
-            if j >= 1 && j - 1 >= lo(i - 1) && j - 1 < hi(i - 1) {
+            if j >= 1 && j > lo(i - 1) && j - 1 < hi(i - 1) {
                 let prev = at(i - 1, j - 1);
                 let sub = if read[i - 1] == window[j - 1] { sc.match_score } else { sc.mismatch };
                 let (mut best, mut from) = (NEG, 0u8);
@@ -76,7 +76,7 @@ pub fn fit_align_ref(
                 }
             }
             // Y: consume window[j-1] only (deletion from reference).
-            if j >= 1 && j - 1 >= lo(i) {
+            if j >= 1 && j > lo(i) {
                 let prev = at(i, j - 1);
                 let open = dp[S_M][prev].saturating_add(sc.gap_open + sc.gap_extend);
                 let extend = dp[S_Y][prev].saturating_add(sc.gap_extend);

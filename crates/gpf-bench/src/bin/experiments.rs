@@ -717,7 +717,7 @@ fn diagnose(lab: &Lab) {
         }
         let mut sorted: Vec<(u64, usize)> =
             final_counts.iter().enumerate().map(|(i, &c)| (c, i)).collect();
-        sorted.sort_by(|a, b| b.0.cmp(&a.0));
+        sorted.sort_by_key(|&(c, _)| std::cmp::Reverse(c));
         println!(
             "final partitions {} mean {:.1}; top: {:?}",
             info.num_partitions(),

@@ -85,7 +85,7 @@ fn gen_reads(n: usize, len: usize, seed: u64) -> Vec<(Vec<u8>, Vec<u8>)> {
             let mut q = 60i64;
             for _ in 0..len {
                 let r = rng.next_u64();
-                seq.push(if r % 97 == 0 { b'N' } else { b"AGCT"[(r >> 8) as usize % 4] });
+                seq.push(if r.is_multiple_of(97) { b'N' } else { b"AGCT"[(r >> 8) as usize % 4] });
                 q = (q + (r >> 16) as i64 % 5 - 2).clamp(33, 73);
                 qual.push(q as u8);
             }
@@ -412,7 +412,7 @@ fn gen_sw_cases(n: usize, read_len: usize, flank: usize, seed: u64) -> Vec<SwCas
             }
             for &b in &read {
                 let r = rng.next_u64();
-                window.push(if r % 50 == 0 { (b + 1 + (r >> 8) as u8 % 3) % 4 } else { b });
+                window.push(if r.is_multiple_of(50) { (b + 1 + (r >> 8) as u8 % 3) % 4 } else { b });
             }
             for _ in 0..flank {
                 window.push((rng.next_u64() % 4) as u8);
@@ -454,7 +454,7 @@ fn gen_hmm_regions(n: usize, read_len: usize, hap_len: usize, nhaps: usize, seed
             let mut q = 60i64;
             for b in read.iter_mut() {
                 let r = rng.next_u64();
-                if r % 100 == 0 {
+                if r.is_multiple_of(100) {
                     *b = b"ACGT"[(r >> 8) as usize % 4];
                 }
                 q = (q + (r >> 16) as i64 % 5 - 2).clamp(33, 73);

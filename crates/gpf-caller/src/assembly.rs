@@ -148,7 +148,7 @@ impl DeBruijnGraph {
             if expansions > budget || out.len() >= opts.max_haplotypes {
                 break;
             }
-            if node == end && seq.len() >= k + 1 {
+            if node == end && seq.len() > k {
                 out.push(seq.clone());
                 // Keep exploring: longer paths through `end` are rare and
                 // usually cyclic; stop this branch here.

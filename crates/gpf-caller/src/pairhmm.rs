@@ -71,9 +71,7 @@ pub fn log10_likelihood(read: &[u8], qual: &[u8], haplotype: &[u8], params: &Hmm
     // Free start anywhere on the haplotype: probability mass 1/n enters at
     // each haplotype offset through the Y state of row 0.
     let start = 1.0 / n as f64;
-    for j in 0..=n {
-        y_prev[j] = start;
-    }
+    y_prev[..=n].fill(start);
 
     let mut log_scale = 0.0f64;
     for i in 1..=m {
@@ -100,7 +98,7 @@ pub fn log10_likelihood(read: &[u8], qual: &[u8], haplotype: &[u8], params: &Hmm
             .chain(x_cur.iter())
             .chain(y_cur.iter())
             .fold(0.0f64, |a, &b| a.max(b));
-        if row_max > 0.0 && (row_max < 1e-280 || row_max > 1e280) {
+        if row_max > 0.0 && !(1e-280..=1e280).contains(&row_max) {
             let inv = 1.0 / row_max;
             for v in m_cur.iter_mut().chain(x_cur.iter_mut()).chain(y_cur.iter_mut()) {
                 *v *= inv;
@@ -349,7 +347,7 @@ impl PairHmmBatch {
             }
             for (l, n_l) in ns[..lanes].iter().copied().enumerate() {
                 let row_max = am[l].max(ax[l]).max(ay[l]);
-                if row_max > 0.0 && (row_max < 1e-280 || row_max > 1e280) {
+                if row_max > 0.0 && !(1e-280..=1e280).contains(&row_max) {
                     let inv = 1.0 / row_max;
                     for j in 0..=n_l {
                         m_cur[j][l] *= inv;

@@ -15,7 +15,7 @@ pub fn coordinate_key(r: &SamRecord) -> (u32, u64, String, u16) {
 
 /// Sort records in place by coordinate.
 pub fn coordinate_sort(records: &mut [SamRecord]) {
-    records.sort_by(|a, b| coordinate_key(a).cmp(&coordinate_key(b)));
+    records.sort_by_key(coordinate_key);
 }
 
 /// Check coordinate order (unmapped-last included).

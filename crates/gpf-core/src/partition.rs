@@ -354,7 +354,7 @@ impl PartitionInfo {
 impl GpfSerialize for PartitionInfo {
     fn write(&self, w: &mut ByteWriter) {
         w.write_u64(self.partition_len);
-        self.contig_lengths.iter().copied().collect::<Vec<u64>>().write(w);
+        self.contig_lengths.write(w);
         let mut splits: Vec<(u32, u32, u32)> =
             self.splits.iter().map(|(&k, e)| (k, e.split_count, e.start_id)).collect();
         splits.sort();

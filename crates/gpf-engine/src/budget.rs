@@ -1,19 +1,25 @@
-//! Memory-budget accountant, LRU eviction policy, and the evictable
-//! partition store behind [`crate::Dataset`]'s tracked mode.
+//! The partition store behind every [`crate::Dataset`], and the memory
+//! budget it may carry: the accountant and its LRU eviction policy.
+//!
+//! A [`Store`] holds one slot per partition, `Resident` or `Spilled` (only
+//! a checksummed spill image), plus each partition's record count. Only
+//! stores built under [`crate::EngineConfig::with_memory_budget`] (shuffle
+//! and barrier outputs, `evictable()` datasets) carry the optional budget
+//! part; an unbudgeted store sizes, registers and charges nothing.
 //!
 //! Rosalind's O(√t) idea: cap peak resident bytes regardless of input
 //! size by trading memory for spill IO. The
 //! [`BudgetAccountant`] is a single ledger of exactly-accounted resident
-//! partition bytes (via [`GpfSerialize::resident_bytes`]); every partition
-//! materialization *admits* its charge, and when a charge would breach the
-//! budget the accountant reclaims from registered [`TrackedStore`]s —
-//! oldest-touched victims first — before giving up.
+//! partition bytes (via [`GpfSerialize::resident_bytes`]); every budgeted
+//! partition materialization *admits* its charge, and when a charge would
+//! breach the budget the accountant reclaims from registered budgeted
+//! [`Store`]s — oldest-touched victims first — before giving up.
 //!
 //! Eviction walks victims least-recently-touched first, skipping any
 //! partition a live reader pins, and treats each by whether its spill
 //! image already exists:
 //!
-//! * a **clean** resident partition (its spill ticket already exists)
+//! * a **clean** resident partition (its spill image already exists)
 //!   is *dropped* and later re-read from that image
 //!   ([`mem.budget.dropped_clean`][c1]);
 //! * a **dirty** resident partition is *spilled* — serialized into
@@ -27,10 +33,10 @@
 //! therefore pristine at rest —
 //! read-back faults ([`FaultSurface::SpillRead`]) damage only the
 //! transient copy handed to the decoder, the checksum detects it, and a
-//! bounded retry re-reads pristine bytes: a tracked-store read never
-//! panics and never returns corrupt data. The only way a read fails is a
-//! genuinely infeasible budget (restoring one partition alone breaches),
-//! which surfaces as a structured [`BudgetBreach`].
+//! bounded retry re-reads pristine bytes: a store read never panics and
+//! never returns corrupt data. The only way a read fails is a genuinely
+//! infeasible budget (restoring one partition alone breaches), which
+//! surfaces as a structured [`BudgetBreach`].
 //!
 //! [c1]: gpf_trace::names::MEM_BUDGET_DROPPED_CLEAN
 //! [c2]: gpf_trace::names::MEM_BUDGET_SPILLED
@@ -40,6 +46,7 @@ use crate::fault::{corrupt_bit, FaultKind, FaultPlan, FaultSurface};
 use gpf_compress::serializer::{
     deserialize_batch_into, serialize_batch, GpfSerialize, SerializerKind,
 };
+use gpf_compress::CodecError;
 use gpf_support::chk::atomic::{AtomicU64, Ordering};
 use gpf_support::sync::{Mutex, RwLock};
 use gpf_trace::alloc::{self, AllocTag};
@@ -140,7 +147,7 @@ impl BudgetAccountant {
         self.ledger.lock().peak
     }
 
-    /// Register an evictable store as a reclaim source. Held weakly: a
+    /// Register a budgeted store as a reclaim source. Held weakly: a
     /// dropped dataset unregisters itself by expiring.
     pub(crate) fn register(&self, store: Weak<dyn Shed>) {
         self.stores.lock().push(store);
@@ -213,158 +220,182 @@ impl SpillFrame {
     }
 }
 
-/// The spill image of one partition: checksummed frames plus the
-/// serializer that wrote them.
-pub(crate) struct SpillTicket {
+/// Appends a frame's decoded records (`deserialize_batch_into` for `T`).
+type DecodeFn<T> = fn(SerializerKind, &[u8], &mut Vec<T>) -> Result<usize, CodecError>;
+
+/// The spill image of one partition: checksummed frames, the serializer
+/// that wrote them and the decoder that reads them back.
+pub(crate) struct SpillTicket<T> {
     frames: Vec<SpillFrame>,
     kind: SerializerKind,
+    decode: DecodeFn<T>,
 }
 
-impl SpillTicket {
+impl<T> SpillTicket<T> {
     /// Serialize `data` into checksummed frames.
-    fn write<T: GpfSerialize>(kind: SerializerKind, data: &[T]) -> Self {
+    fn write(kind: SerializerKind, data: &[T]) -> Self
+    where
+        T: GpfSerialize,
+    {
         let _scope = alloc::scope(AllocTag::Spill);
-        let mut frames = Vec::with_capacity(data.len().div_ceil(FRAME_RECORDS).max(1));
-        if data.is_empty() {
-            return Self { frames, kind };
-        }
-        for chunk in data.chunks(FRAME_RECORDS) {
-            let bytes = serialize_batch(kind, chunk);
-            let checksum = fnv64(&bytes);
-            frames.push(SpillFrame { bytes, records: chunk.len() as u32, checksum });
-        }
-        Self { frames, kind }
+        let frames = data
+            .chunks(FRAME_RECORDS)
+            .map(|chunk| {
+                let bytes = serialize_batch(kind, chunk);
+                let checksum = fnv64(&bytes);
+                SpillFrame { bytes, records: chunk.len() as u32, checksum }
+            })
+            .collect();
+        Self { frames, kind, decode: deserialize_batch_into::<T> }
     }
 
     /// Serialized size across all frames.
-    pub(crate) fn spilled_bytes(&self) -> u64 {
+    fn spilled_bytes(&self) -> u64 {
         self.frames.iter().map(|f| f.bytes.len() as u64).sum()
     }
-}
 
-/// Verify + decode one frame from `payload` (a candidate byte image of
-/// `frame`). `None` when the checksum, the decode, or the record count
-/// disagrees — i.e. the payload is damaged.
-fn try_decode_frame<T: GpfSerialize>(
-    kind: SerializerKind,
-    frame: &SpillFrame,
-    payload: &[u8],
-    out: &mut Vec<T>,
-) -> bool {
-    if fnv64(payload) != frame.checksum {
-        return false;
+    /// Verify + decode one frame from `payload` (a candidate byte image of
+    /// `frame`). `false` when the checksum, the decode, or the record count
+    /// disagrees — i.e. the payload is damaged.
+    fn try_decode(&self, frame: &SpillFrame, payload: &[u8], out: &mut Vec<T>) -> bool {
+        if fnv64(payload) != frame.checksum {
+            return false;
+        }
+        let before = out.len();
+        match (self.decode)(self.kind, payload, out) {
+            Ok(n) if n == frame.records as usize => true,
+            _ => {
+                out.truncate(before);
+                false
+            }
+        }
     }
-    let before = out.len();
-    match deserialize_batch_into(kind, payload, out) {
-        Ok(n) if n == frame.records as usize => true,
-        _ => {
-            out.truncate(before);
-            false
+
+    /// Append the records of `frame` (one of this image's frames, belonging
+    /// to partition `part`) to `out`. Survives injected read-back damage: a
+    /// transient copy is damaged, the checksum detects it, the retry
+    /// re-reads. Never panics — stored frames are pristine, so the pristine
+    /// attempt always verifies.
+    fn read_frame(
+        &self,
+        frame: &SpillFrame,
+        part: usize,
+        faults: Option<&ReadFaults>,
+        out: &mut Vec<T>,
+    ) {
+        let _scope = alloc::scope(AllocTag::Spill);
+        let mut attempt = 0u32;
+        loop {
+            let injected = faults
+                .filter(|f| attempt <= f.max_retries)
+                .and_then(|f| f.plan.decide(f.stage, part as u32, attempt, FaultSurface::SpillRead));
+            let ok = match injected {
+                Some(kind) => {
+                    // gpf-lint: allow(spill-read-checksum): damaged copy
+                    // goes straight into try_decode's fnv64 verify.
+                    let mut copy = frame.payload_unverified().to_vec();
+                    let salt =
+                        faults.map(|f| f.plan.corruption_salt(f.stage, part as u32)).unwrap_or(0);
+                    if kind == FaultKind::TruncateSpill {
+                        copy.truncate((salt % copy.len().max(1) as u64) as usize);
+                    } else {
+                        corrupt_bit(&mut copy, salt);
+                    }
+                    // Unconditional like `record_fault_event`: this
+                    // branch only runs under configured faults, and
+                    // chaos tests read the counter without tracing on.
+                    gpf_trace::counter(tn::FAULT_INJECTED).add(1);
+                    self.try_decode(frame, &copy, out)
+                }
+                None => {
+                    let payload = frame.payload_unverified();
+                    debug_assert_eq!(fnv64(payload), frame.checksum);
+                    self.try_decode(frame, payload, out)
+                }
+            };
+            if ok {
+                return;
+            }
+            attempt += 1;
+            // Unconditional for the same reason as the injection
+            // counter above: a frame only fails to verify under
+            // injected damage.
+            gpf_trace::counter(tn::TASK_RETRIES).add(1);
         }
     }
 }
 
-/// Read-side fault injection state for a tracked store, captured at build
+/// Read-side fault injection state for a budgeted store, captured at build
 /// time from the engine's fault config.
-#[derive(Clone)]
 struct ReadFaults {
     plan: FaultPlan,
     max_retries: u32,
-}
-
-/// One partition slot of a [`TrackedStore`].
-enum Slot<T> {
-    /// Materialized in memory, charged to the ledger. `ticket` present
-    /// means the spill image already exists (the partition is *clean*):
-    /// eviction may drop the data and recompute it by re-reading.
-    Resident { data: Arc<Vec<T>>, bytes: u64, ticket: Option<Arc<SpillTicket>> },
-    /// Evicted (or never admitted): only the checksummed spill image
-    /// exists. `bytes` is the resident charge a restore will admit.
-    Spilled { ticket: Arc<SpillTicket>, bytes: u64 },
-}
-
-/// Type-erased view of a [`TrackedStore`] used by `Dataset`'s `Parts`
-/// enum, so datasets of non-serializable element types can still carry
-/// the (always-plain) variant without a `GpfSerialize` bound.
-pub(crate) trait TrackedParts<T>: Send + Sync {
-    /// Number of partitions.
-    fn num_parts(&self) -> usize;
-    /// Record count of partition `i` (known without restoring).
-    fn part_len(&self, i: usize) -> usize;
-    /// Restore partition `i` fully resident. `Err((requested, budget))`
-    /// only when admitting its charge is infeasible.
-    fn read(&self, i: usize) -> Result<Arc<Vec<T>>, (u64, u64)>;
-    /// Stream partition `i` chunk-by-chunk without materializing it:
-    /// resident slots yield one chunk, spilled slots one per frame.
-    fn stream(&self, i: usize, f: &mut dyn FnMut(&[T]));
-    /// Whether partition `i` is currently evicted (test/bench visibility).
-    fn is_spilled(&self, i: usize) -> bool;
-    /// Serialized bytes currently held in spill frames across all evicted
-    /// partitions (test/bench visibility).
-    fn spilled_bytes(&self) -> u64;
-}
-
-/// An evictable partition store: the tracked backing of a `Dataset`.
-pub(crate) struct TrackedStore<T> {
-    kind: SerializerKind,
+    /// Stage the store was built in: the stage its read faults are keyed on.
     stage: u32,
+}
+
+/// One partition slot of a [`Store`].
+enum Slot<T> {
+    /// In memory. `image` is the partition's spill image when one already
+    /// exists (the partition is *clean*): eviction may drop the data and
+    /// re-read the image later.
+    Resident { data: Arc<Vec<T>>, image: Option<Arc<SpillTicket<T>>> },
+    /// Evicted (or never admitted): only the checksummed spill image
+    /// exists. Only a budgeted store has spilled slots.
+    Spilled(Arc<SpillTicket<T>>),
+}
+
+/// How a budgeted [`Store`] charges, spills and restores its partitions —
+/// captured from the engine context where the element type is known to be
+/// [`GpfSerialize`], so the store itself needs no such bound.
+pub(crate) struct Policy<T> {
     acct: Arc<BudgetAccountant>,
+    kind: SerializerKind,
     faults: Option<ReadFaults>,
-    counts: Vec<usize>,
-    slots: Vec<RwLock<Slot<T>>>,
+    /// A partition's resident charge ([`GpfSerialize::resident_bytes`]).
+    charge: fn(&Vec<T>) -> u64,
+    /// Serializes a partition into its spill image.
+    spill: fn(SerializerKind, &[T]) -> SpillTicket<T>,
+}
+
+impl<T: GpfSerialize> Policy<T> {
+    /// The policy for stores built in `stage` under `acct`, with the fault
+    /// plan and retry budget of the engine's fault config, if any.
+    pub(crate) fn new(
+        acct: Arc<BudgetAccountant>,
+        kind: SerializerKind,
+        stage: u32,
+        faults: Option<(FaultPlan, u32)>,
+    ) -> Self {
+        Self {
+            acct,
+            kind,
+            faults: faults.map(|(plan, max_retries)| ReadFaults { plan, max_retries, stage }),
+            charge: |part| part.resident_bytes() as u64,
+            spill: SpillTicket::write,
+        }
+    }
+}
+
+/// The budget part of a [`Store`]: its policy, each partition's charge and
+/// the LRU clock.
+struct Budget<T> {
+    policy: Policy<T>,
+    charges: Vec<u64>,
     /// Per-slot last-touch generation (LRU clock for victim selection).
     touch: Vec<AtomicU64>,
     clock: AtomicU64,
 }
 
-impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
-    /// Build a store from materialized partitions, admitting each
-    /// partition's charge. A partition whose charge cannot be admitted
-    /// even after eviction is spilled on the spot instead of failing:
-    /// dataset *creation* always succeeds under any budget.
-    pub(crate) fn build(
-        parts: Vec<Vec<T>>,
-        kind: SerializerKind,
-        stage: u32,
-        acct: Arc<BudgetAccountant>,
-        faults: Option<(FaultPlan, u32)>,
-    ) -> Arc<Self> {
-        let faults = faults.map(|(plan, max_retries)| ReadFaults { plan, max_retries });
-        let counts: Vec<usize> = parts.iter().map(Vec::len).collect();
-        let n = parts.len();
-        let mut slots = Vec::with_capacity(n);
-        for part in parts {
-            let bytes = part.resident_bytes() as u64;
-            let slot = match acct.admit(bytes) {
-                Ok(()) => Slot::Resident { data: Arc::new(part), bytes, ticket: None },
-                Err(_) => {
-                    let ticket = Arc::new(SpillTicket::write(kind, &part));
-                    note(tn::MEM_BUDGET_SPILLED, 1);
-                    note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
-                    Slot::Spilled { ticket, bytes }
-                }
-            };
-            slots.push(RwLock::new(slot));
-        }
-        let store = Arc::new(Self {
-            kind,
-            stage,
-            acct: Arc::clone(&acct),
-            faults,
-            counts,
-            slots,
-            touch: (0..n).map(|_| AtomicU64::new(0)).collect(),
-            clock: AtomicU64::new(1),
-        });
-        let weak: Weak<dyn Shed> = {
-            let w: Weak<Self> = Arc::downgrade(&store);
-            w
-        };
-        acct.register(weak);
-        store
+impl<T> Budget<T> {
+    /// Serialize dirty partition `i` into its spill image.
+    fn spill(&self, i: usize, data: &[T]) -> Arc<SpillTicket<T>> {
+        note(tn::MEM_BUDGET_SPILLED, 1);
+        note(tn::MEM_BUDGET_SPILLED_BYTES, self.charges[i]);
+        Arc::new((self.policy.spill)(self.policy.kind, data))
     }
 
-    fn touch_slot(&self, i: usize) {
+    fn touch(&self, i: usize) {
         // gpf-lint: allow(relaxed-ordering): the touch clock is a pure LRU
         // heuristic for victim ordering — a stale generation can only make
         // eviction pick a slightly different victim, never corrupt data
@@ -375,190 +406,214 @@ impl<T: GpfSerialize + Send + Sync + 'static> TrackedStore<T> {
     }
 }
 
-impl<T: GpfSerialize + Send + Sync + 'static> TrackedParts<T> for TrackedStore<T> {
-    fn num_parts(&self) -> usize {
+/// The partition store behind every `Dataset`: one slot per partition, the
+/// per-partition record counts, and — only for stores built under a memory
+/// budget — the budget part.
+pub(crate) struct Store<T> {
+    counts: Vec<usize>,
+    slots: Vec<RwLock<Slot<T>>>,
+    budget: Option<Budget<T>>,
+}
+
+impl<T: Send + Sync + 'static> Store<T> {
+    /// Build a store from materialized partitions. Without a policy every
+    /// partition stays resident and nothing is charged. With one, each
+    /// partition's charge is admitted, and a partition whose charge cannot
+    /// be admitted even after eviction is spilled on the spot instead of
+    /// failing: building a store always succeeds under any budget.
+    pub(crate) fn new(parts: Vec<Vec<T>>, policy: Option<Policy<T>>) -> Arc<Self> {
+        let counts = parts.iter().map(Vec::len).collect();
+        let budget = policy.map(|policy| Budget {
+            charges: parts.iter().map(policy.charge).collect(),
+            touch: parts.iter().map(|_| AtomicU64::new(0)).collect(),
+            clock: AtomicU64::new(1),
+            policy,
+        });
+        let slots = parts
+            .into_iter()
+            .enumerate()
+            .map(|(i, data)| {
+                RwLock::new(match &budget {
+                    Some(b) if b.policy.acct.admit(b.charges[i]).is_err() => {
+                        Slot::Spilled(b.spill(i, &data))
+                    }
+                    _ => Slot::Resident { data: Arc::new(data), image: None },
+                })
+            })
+            .collect();
+        let store = Arc::new(Self { counts, slots, budget });
+        if let Some(b) = &store.budget {
+            let weak: Weak<Self> = Arc::downgrade(&store);
+            b.policy.acct.register(weak);
+        }
+        store
+    }
+}
+
+impl<T> Store<T> {
+    /// Number of partitions.
+    pub(crate) fn num_parts(&self) -> usize {
         self.slots.len()
     }
 
-    fn part_len(&self, i: usize) -> usize {
+    /// Record count of partition `i` (known without restoring).
+    pub(crate) fn part_len(&self, i: usize) -> usize {
         self.counts[i]
     }
 
-    fn read(&self, i: usize) -> Result<Arc<Vec<T>>, (u64, u64)> {
-        self.touch_slot(i);
-        // Snapshot under a read lock; never hold any slot lock across
-        // admit() (its reclaim path write-locks slots).
-        let (ticket, bytes) = {
-            let slot = self.slots[i].read();
-            match &*slot {
-                Slot::Resident { data, .. } => return Ok(Arc::clone(data)),
-                Slot::Spilled { ticket, bytes } => (Arc::clone(ticket), *bytes),
-            }
-        };
-        self.acct.admit(bytes)?;
+    /// Records across all partitions.
+    pub(crate) fn total_len(&self) -> usize {
+        self.counts.iter().sum()
+    }
+
+    /// Whether a memory budget governs this store. Whole-partition work on
+    /// a budgeted store runs one partition at a time (DESIGN.md §16c), so
+    /// at most one restore is admitted at a time.
+    pub(crate) fn budgeted(&self) -> bool {
+        self.budget.is_some()
+    }
+
+    fn faults(&self) -> Option<&ReadFaults> {
+        self.budget.as_ref()?.policy.faults.as_ref()
+    }
+
+    /// Touch slot `i` on the LRU clock and pin its records — or, when it
+    /// is spilled, its spill image (`Err`). No slot lock is held afterwards.
+    fn peek(&self, i: usize) -> Result<Arc<Vec<T>>, Arc<SpillTicket<T>>> {
+        if let Some(b) = &self.budget {
+            b.touch(i);
+        }
+        match &*self.slots[i].read() {
+            Slot::Resident { data, .. } => Ok(Arc::clone(data)),
+            Slot::Spilled(image) => Err(Arc::clone(image)),
+        }
+    }
+
+    /// Decode partition `i`'s whole spill image without charging anything.
+    fn decode(&self, image: &SpillTicket<T>, i: usize) -> Vec<T> {
         let mut out = Vec::with_capacity(self.counts[i]);
-        TicketFrames { frames: &ticket.frames, kind: ticket.kind }.decode_all(
-            self.stage,
-            i,
-            self.faults.as_ref(),
-            &mut out,
-        );
-        let data = Arc::new(out);
-        let mut slot = self.slots[i].write();
-        match &*slot {
-            // Lost a restore race: keep the winner's copy, refund ours.
-            Slot::Resident { data: winner, .. } => {
-                let winner = Arc::clone(winner);
-                drop(slot);
-                self.acct.credit(bytes);
-                Ok(winner)
-            }
-            Slot::Spilled { .. } => {
-                note(tn::MEM_BUDGET_RESTORED, 1);
-                note(tn::MEM_BUDGET_RESTORED_BYTES, bytes);
-                *slot = Slot::Resident { data: Arc::clone(&data), bytes, ticket: Some(ticket) };
-                Ok(data)
-            }
+        for frame in &image.frames {
+            image.read_frame(frame, i, self.faults(), &mut out);
         }
+        out
     }
 
-    fn stream(&self, i: usize, f: &mut dyn FnMut(&[T])) {
-        self.touch_slot(i);
-        let ticket = {
-            let slot = self.slots[i].read();
-            match &*slot {
-                Slot::Resident { data, .. } => {
-                    // Already paid for — one chunk, zero extra footprint.
-                    let data = Arc::clone(data);
-                    drop(slot);
-                    f(&data);
-                    return;
-                }
-                Slot::Spilled { ticket, .. } => Arc::clone(ticket),
-            }
+    /// Partition `i`, restored and charged to the ledger if it was evicted.
+    /// `Err((requested, budget))` only when admitting the restore is
+    /// infeasible under the budget.
+    pub(crate) fn get(&self, i: usize) -> Result<Arc<Vec<T>>, (u64, u64)> {
+        let image = match self.peek(i) {
+            Ok(data) => return Ok(data),
+            Err(image) => image,
         };
-        // Decode frame-by-frame: transient footprint is one frame, not the
-        // partition, and nothing is charged to the ledger.
-        let mut chunk: Vec<T> = Vec::new();
-        for frame in &ticket.frames {
-            chunk.clear();
-            TicketFrames { frames: std::slice::from_ref(frame), kind: ticket.kind }
-                .decode_all(self.stage, i, self.faults.as_ref(), &mut chunk);
-            f(&chunk);
+        // Never hold a slot lock across admit(): its reclaim path
+        // write-locks slots.
+        let budget = self.budget.as_ref();
+        let charge = budget.map_or(0, |b| b.charges[i]);
+        budget.map_or(Ok(()), |b| b.policy.acct.admit(charge))?;
+        let data = Arc::new(self.decode(&image, i));
+        let mut slot = self.slots[i].write();
+        if let Slot::Resident { data: winner, .. } = &*slot {
+            // Lost a restore race: keep the winner's copy, refund ours.
+            let winner = Arc::clone(winner);
+            drop(slot);
+            if let Some(b) = budget {
+                b.policy.acct.credit(charge);
+            }
+            return Ok(winner);
+        }
+        note(tn::MEM_BUDGET_RESTORED, 1);
+        note(tn::MEM_BUDGET_RESTORED_BYTES, charge);
+        *slot = Slot::Resident { data: Arc::clone(&data), image: Some(image) };
+        Ok(data)
+    }
+
+    /// Visit partition `i` chunk by chunk without materializing it: a
+    /// resident partition is one chunk, a spilled one yields one spill
+    /// frame at a time. Infallible — nothing is charged to the ledger.
+    pub(crate) fn stream(&self, i: usize, f: &mut dyn FnMut(&[T])) {
+        match self.peek(i) {
+            Ok(data) => f(&data),
+            Err(image) => {
+                let mut chunk = Vec::new();
+                for frame in &image.frames {
+                    chunk.clear();
+                    image.read_frame(frame, i, self.faults(), &mut chunk);
+                    f(&chunk);
+                }
+            }
         }
     }
 
-    fn is_spilled(&self, i: usize) -> bool {
-        matches!(&*self.slots[i].read(), Slot::Spilled { .. })
+    /// Visit partition `i` whole without charging the ledger: in place when
+    /// resident, through a transient decoded copy when spilled.
+    pub(crate) fn with_whole<R>(&self, i: usize, f: impl FnOnce(&[T]) -> R) -> R {
+        match self.peek(i) {
+            Ok(data) => f(&data),
+            Err(image) => f(&self.decode(&image, i)),
+        }
     }
 
-    fn spilled_bytes(&self) -> u64 {
+    /// Move partition `i` out, leaving its slot empty — only for a store
+    /// the caller owns outright and consumes. The records are cloned only
+    /// if a reader still pins them.
+    pub(crate) fn take(&self, i: usize) -> Vec<T>
+    where
+        T: Clone,
+    {
+        let empty = Slot::Resident { data: Arc::default(), image: None };
+        match std::mem::replace(&mut *self.slots[i].write(), empty) {
+            Slot::Resident { data, .. } => Arc::unwrap_or_clone(data),
+            Slot::Spilled(image) => self.decode(&image, i),
+        }
+    }
+
+    /// Number of partitions currently evicted to spill images.
+    pub(crate) fn spilled_partitions(&self) -> usize {
+        self.slots.iter().filter(|s| matches!(&*s.read(), Slot::Spilled(_))).count()
+    }
+
+    /// Serialized bytes currently held in spill frames across all evicted
+    /// partitions.
+    pub(crate) fn spilled_bytes(&self) -> u64 {
         self.slots
             .iter()
             .map(|s| match &*s.read() {
-                Slot::Spilled { ticket, .. } => ticket.spilled_bytes(),
+                Slot::Spilled(image) => image.spilled_bytes(),
                 Slot::Resident { .. } => 0,
             })
             .sum()
     }
 }
 
-/// Borrowed-frame decoder shared by the full-restore and chunked-streaming
-/// paths: verifies each frame's checksum, survives injected read-back
-/// damage (a transient copy is damaged, the checksum detects it, the retry
-/// re-reads), and never panics — stored frames are pristine, so the
-/// pristine attempt always verifies.
-struct TicketFrames<'a> {
-    frames: &'a [SpillFrame],
-    kind: SerializerKind,
-}
-
-impl TicketFrames<'_> {
-    fn decode_all<T: GpfSerialize>(
-        &self,
-        stage: u32,
-        part: usize,
-        faults: Option<&ReadFaults>,
-        out: &mut Vec<T>,
-    ) {
-        let _scope = alloc::scope(AllocTag::Spill);
-        for frame in self.frames {
-            let mut attempt = 0u32;
-            loop {
-                let injected = faults.and_then(|f| {
-                    if attempt <= f.max_retries {
-                        f.plan.decide(stage, part as u32, attempt, FaultSurface::SpillRead)
-                    } else {
-                        None
-                    }
-                });
-                let ok = match injected {
-                    Some(kind) => {
-                        // gpf-lint: allow(spill-read-checksum): damaged copy
-                        // goes straight into try_decode_frame's fnv64 verify.
-                        let mut copy = frame.payload_unverified().to_vec();
-                        let salt = faults
-                            .map(|f| f.plan.corruption_salt(stage, part as u32))
-                            .unwrap_or(0);
-                        match kind {
-                            FaultKind::TruncateSpill => {
-                                let keep = (salt % copy.len().max(1) as u64) as usize;
-                                copy.truncate(keep);
-                            }
-                            _ => {
-                                corrupt_bit(&mut copy, salt);
-                            }
-                        }
-                        // Unconditional like `record_fault_event`: this
-                        // branch only runs under configured faults, and
-                        // chaos tests read the counter without tracing on.
-                        gpf_trace::counter(tn::FAULT_INJECTED).add(1);
-                        try_decode_frame(self.kind, frame, &copy, out)
-                    }
-                    None => {
-                        let payload = frame.payload_unverified();
-                        debug_assert_eq!(fnv64(payload), frame.checksum);
-                        try_decode_frame(self.kind, frame, payload, out)
-                    }
-                };
-                if ok {
-                    break;
-                }
-                attempt += 1;
-                // Unconditional for the same reason as the injection
-                // counter above: a frame only fails to verify under
-                // injected damage.
-                gpf_trace::counter(tn::TASK_RETRIES).add(1);
-            }
-        }
-    }
-}
-
-impl<T> Drop for TrackedStore<T> {
-    /// A dropped dataset returns its resident charges to the ledger.
+impl<T> Drop for Store<T> {
+    /// A dropped budgeted store returns its resident charges to the ledger.
     /// Without this, dead stores pin ledger bytes no reclaim can ever
     /// find — their `Weak` registration has already expired — and the
     /// accountant slowly fills with ghost charges until any admit fails.
     fn drop(&mut self) {
-        let mut resident = 0u64;
-        for slot in &self.slots {
-            if let Slot::Resident { bytes, .. } = &*slot.read() {
-                resident += *bytes;
-            }
-        }
+        let Some(b) = &self.budget else { return };
+        let resident: u64 = self
+            .slots
+            .iter()
+            .zip(&b.charges)
+            .filter(|(slot, _)| matches!(&*slot.read(), Slot::Resident { .. }))
+            .map(|(_, charge)| charge)
+            .sum();
         if resident > 0 {
-            self.acct.credit(resident);
+            b.policy.acct.credit(resident);
         }
     }
 }
 
-impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
+impl<T: Send + Sync> Shed for Store<T> {
     fn shed(&self, need: u64) -> u64 {
+        let Some(b) = &self.budget else { return 0 };
         // Victim order: least-recently-touched first.
         let mut order: Vec<(u64, usize)> = (0..self.slots.len())
             // gpf-lint: allow(relaxed-ordering): LRU heuristic read —
             // staleness only reorders victims; slot locks carry correctness.
-            .map(|i| (self.touch[i].load(Ordering::Relaxed), i))
+            .map(|i| (b.touch[i].load(Ordering::Relaxed), i))
             .collect();
         order.sort_unstable();
         let mut freed = 0u64;
@@ -567,33 +622,25 @@ impl<T: GpfSerialize + Send + Sync + 'static> Shed for TrackedStore<T> {
                 break;
             }
             let mut slot = self.slots[i].write();
-            if let Slot::Resident { data, bytes, ticket } = &mut *slot {
-                // An active reader (a live PartRef) pins the partition.
-                if Arc::strong_count(data) > 1 {
-                    continue;
-                }
-                let bytes = *bytes;
-                let ticket = match ticket.take() {
-                    // Clean: the spill image already exists — cheap
-                    // lineage, drop and re-read later.
-                    Some(t) => {
-                        note(tn::MEM_BUDGET_DROPPED_CLEAN, 1);
-                        t
-                    }
-                    // Dirty: expensive lineage — serialize a checksummed
-                    // spill image first.
-                    None => {
-                        let t = Arc::new(SpillTicket::write(self.kind, data));
-                        note(tn::MEM_BUDGET_SPILLED, 1);
-                        note(tn::MEM_BUDGET_SPILLED_BYTES, bytes);
-                        t
-                    }
-                };
-                *slot = Slot::Spilled { ticket, bytes };
-                drop(slot);
-                self.acct.credit(bytes);
-                freed += bytes;
+            let Slot::Resident { data, image } = &mut *slot else { continue };
+            // An active reader (a live PartRef) pins the partition.
+            if Arc::strong_count(data) > 1 {
+                continue;
             }
+            let image = match image.take() {
+                // Clean: the spill image already exists — drop the data and
+                // re-read the image later.
+                Some(image) => {
+                    note(tn::MEM_BUDGET_DROPPED_CLEAN, 1);
+                    image
+                }
+                // Dirty: serialize a checksummed spill image first.
+                None => b.spill(i, data),
+            };
+            *slot = Slot::Spilled(image);
+            drop(slot);
+            b.policy.acct.credit(b.charges[i]);
+            freed += b.charges[i];
         }
         freed
     }
@@ -608,20 +655,19 @@ mod tests {
         budget: u64,
         parts: Vec<Vec<u64>>,
         faults: Option<(FaultPlan, u32)>,
-    ) -> (Arc<BudgetAccountant>, Arc<TrackedStore<u64>>) {
+    ) -> (Arc<BudgetAccountant>, Arc<Store<u64>>) {
         let acct = Arc::new(BudgetAccountant::new(budget));
-        let store =
-            TrackedStore::build(parts, SerializerKind::Gpf, 0, Arc::clone(&acct), faults);
-        (acct, store)
+        let policy = Policy::new(Arc::clone(&acct), SerializerKind::Gpf, 0, faults);
+        (acct, Store::new(parts, Some(policy)))
     }
 
     #[test]
     fn unlimited_budget_keeps_everything_resident() {
         let parts: Vec<Vec<u64>> = (0..4).map(|p| (0..100).map(|i| p * 1000 + i).collect()).collect();
         let (acct, store) = store_with(u64::MAX, parts.clone(), None);
+        assert_eq!(store.spilled_partitions(), 0);
         for (i, want) in parts.iter().enumerate() {
-            assert!(!store.is_spilled(i));
-            assert_eq!(&*store.read(i).unwrap(), want);
+            assert_eq!(&*store.get(i).unwrap(), want);
         }
         assert_eq!(acct.used(), acct.peak());
         assert!(acct.used() > 0);
@@ -633,9 +679,9 @@ mod tests {
         let one = parts[0].resident_bytes() as u64;
         // Room for ~2 partitions: building 8 must evict, not fail.
         let (acct, store) = store_with(one * 2 + 64, parts.clone(), None);
-        assert!((0..8).any(|i| store.is_spilled(i)), "tight budget must spill");
+        assert!(store.spilled_partitions() > 0, "tight budget must spill");
         for (i, want) in parts.iter().enumerate() {
-            assert_eq!(&*store.read(i).unwrap(), want, "partition {i}");
+            assert_eq!(&*store.get(i).unwrap(), want, "partition {i}");
         }
         assert!(acct.peak() <= acct.budget(), "ledger peak may never pass the budget");
     }
@@ -646,7 +692,7 @@ mod tests {
         let one = parts[0].resident_bytes() as u64;
         // Budget below one partition: the slot starts (and stays) spilled.
         let (acct, store) = store_with(one / 2, parts.clone(), None);
-        assert!(store.is_spilled(0));
+        assert_eq!(store.spilled_partitions(), 1);
         let used_before = acct.used();
         let mut seen = Vec::new();
         let mut chunks = 0usize;
@@ -658,7 +704,7 @@ mod tests {
         assert_eq!(seen, parts[0]);
         assert!(chunks > 1, "5000 records must stream in multiple frames");
         assert_eq!(acct.used(), used_before, "streaming must not charge the ledger");
-        assert!(store.is_spilled(0), "streaming must not restore the slot");
+        assert_eq!(store.spilled_partitions(), 1, "streaming must not restore the slot");
     }
 
     #[test]
@@ -666,7 +712,7 @@ mod tests {
         let parts: Vec<Vec<u64>> = vec![(0..5000).collect()];
         let one = parts[0].resident_bytes() as u64;
         let (_acct, store) = store_with(one / 2, parts, None);
-        let err = store.read(0).unwrap_err();
+        let err = store.get(0).unwrap_err();
         assert_eq!(err, (one, one / 2));
     }
 
@@ -695,11 +741,11 @@ mod tests {
         for i in 0..4 {
             // gpf-lint: allow(swallowed-error): warming the LRU clock; a
             // restore failure would fail the assertions below anyway.
-            let _ = store.read(i);
+            let _ = store.get(i);
         }
         assert!(acct.admit(one * 2).is_ok(), "eviction must make room");
         acct.credit(one * 2);
-        assert!((0..4).any(|i| store.is_spilled(i)));
+        assert!(store.spilled_partitions() > 0);
     }
 
     #[test]

@@ -39,13 +39,15 @@ pub struct EngineConfig {
     /// uses.
     pub adaptive_skew: Option<u64>,
     /// Memory budget for resident partition bytes, in bytes. `None` (the
-    /// default) runs fully in-memory, exactly as before. `Some(bytes)`
-    /// installs a [`crate::BudgetAccountant`] on the context: datasets
-    /// produced by shuffles/barriers (and any marked `.evictable()`)
-    /// become LRU eviction candidates — dirty partitions spill to
-    /// checksummed frames, clean ones are dropped and re-read from their
-    /// spill image — and map stages over evicted partitions stream
-    /// chunk-by-chunk instead of materializing them.
+    /// default) runs fully in memory: no partition store carries a budget
+    /// part, so nothing is sized, charged or evicted. `Some(bytes)`
+    /// installs a [`crate::BudgetAccountant`] on the context, and the
+    /// partition stores of shuffle and barrier outputs (and of any dataset
+    /// marked `.evictable()`) are built with a budget part: they become LRU
+    /// eviction candidates — dirty partitions spill to checksummed frames,
+    /// clean ones are dropped and re-read from their spill image — and map
+    /// stages over evicted partitions stream chunk-by-chunk instead of
+    /// materializing them.
     pub memory_budget: Option<u64>,
 }
 

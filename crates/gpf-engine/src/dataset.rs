@@ -18,7 +18,7 @@
 //! cheap and read-only datasets (the FASTA/VCF partition RDDs of the paper's
 //! Figure 7) can be reused by many downstream processes without copying.
 
-use crate::budget::{BudgetBreach, TrackedParts, TrackedStore};
+use crate::budget::{BudgetBreach, Policy, Store};
 use crate::context::{EngineContext, TaskSample};
 use crate::fault::{corrupt_bit, AttemptRecord, EngineError, FaultConfig, FaultKind, FaultSurface};
 use crate::timing::TaskTimer;
@@ -34,6 +34,7 @@ use gpf_trace::current_tid;
 use gpf_trace::names as tn;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::marker::PhantomData;
 use std::sync::{Arc, OnceLock};
 
 /// Deterministic FNV-1a hasher used for hash partitioning, so shuffles
@@ -107,130 +108,40 @@ pub(crate) fn fnv64(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Physical representation of a dataset's partitions.
-///
-/// `Plain` is the classic fully-resident form. `Tracked` partitions live
-/// in a budget-accounted [`TrackedStore`]: they may be evicted to checksummed
-/// spill frames under memory pressure and are restored (or streamed
-/// chunk-by-chunk) on access.
-pub(crate) enum Parts<T> {
-    Plain(Arc<Vec<Vec<T>>>),
-    Tracked(Arc<dyn TrackedParts<T>>),
-}
-
-impl<T> Clone for Parts<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Parts::Plain(v) => Parts::Plain(Arc::clone(v)),
-            Parts::Tracked(s) => Parts::Tracked(Arc::clone(s)),
-        }
-    }
-}
-
-impl<T> Parts<T> {
-    fn num(&self) -> usize {
-        match self {
-            Parts::Plain(v) => v.len(),
-            Parts::Tracked(s) => s.num_parts(),
-        }
-    }
-
-    fn part_len(&self, i: usize) -> usize {
-        match self {
-            Parts::Plain(v) => v[i].len(),
-            Parts::Tracked(s) => s.part_len(i),
-        }
-    }
-
-    fn total_len(&self) -> usize {
-        (0..self.num()).map(|i| self.part_len(i)).sum()
-    }
-
-    /// Budget-tracked partitions run whole-partition work serially
-    /// (DESIGN.md §16c), so at most one restore is admitted at a time.
-    fn is_tracked(&self) -> bool {
-        matches!(self, Parts::Tracked(_))
-    }
-
-    /// Borrow (plain) or restore (tracked) partition `i`.
-    /// `Err((requested, budget))` only when a tracked restore is infeasible
-    /// under the installed memory budget.
-    fn get(&self, i: usize) -> Result<PartRef<'_, T>, (u64, u64)> {
-        match self {
-            Parts::Plain(v) => Ok(PartRef::Slice(&v[i])),
-            Parts::Tracked(s) => s.read(i).map(PartRef::Owned),
-        }
-    }
-
-    /// Visit partition `i` chunk-by-chunk without materializing it: a plain
-    /// or resident partition is one chunk, a spilled partition yields one
-    /// spill frame at a time. Infallible — nothing is charged to the budget
-    /// ledger.
-    fn stream(&self, i: usize, f: &mut dyn FnMut(&[T])) {
-        match self {
-            Parts::Plain(v) => f(&v[i]),
-            Parts::Tracked(s) => s.stream(i, f),
-        }
-    }
-
-    /// Materialize one partition as an owned vector by streaming (transient
-    /// copy; never charges the ledger). Used for lineage recompute and the
-    /// few operators that genuinely concatenate partitions.
-    fn part_to_vec(&self, i: usize) -> Vec<T>
-    where
-        T: Clone,
-    {
-        let mut out = Vec::with_capacity(self.part_len(i));
-        self.stream(i, &mut |chunk| out.extend_from_slice(chunk));
-        out
-    }
-}
-
 /// `n` empty partitions on `ctx` — what an operator returns once the
 /// context holds a failure, so downstream operators short-circuit.
-fn failed<T>(ctx: &Arc<EngineContext>, n: usize) -> Dataset<T> {
+fn failed<T: Send + Sync + 'static>(ctx: &Arc<EngineContext>, n: usize) -> Dataset<T> {
     let parts = (0..n).map(|_| Vec::new()).collect();
-    Dataset { ctx: Arc::clone(ctx), parts: Parts::Plain(Arc::new(parts)) }
+    Dataset { ctx: Arc::clone(ctx), parts: Store::new(parts, None) }
 }
 
-/// Wrap freshly produced output partitions: budget-tracked (evictable)
-/// when the context has a memory-budget accountant installed, plain
-/// otherwise. Shuffle and barrier outputs route through this, so under a
-/// budget every wide-operation result is an eviction candidate.
+/// Store freshly produced output partitions: budgeted (evictable) when the
+/// context has a memory-budget accountant installed, unbudgeted otherwise.
+/// Shuffle and barrier outputs route through this, so under a budget every
+/// wide-operation result is an eviction candidate.
 fn output_parts<T: GpfSerialize + Send + Sync + 'static>(
     ctx: &Arc<EngineContext>,
     parts: Vec<Vec<T>>,
-) -> Parts<T> {
-    match ctx.accountant() {
-        Some(acct) => {
-            let faults = ctx.faults().map(|fc| (fc.plan.clone(), fc.max_task_retries));
-            Parts::Tracked(TrackedStore::build(
-                parts,
-                ctx.serializer(),
-                ctx.current_stage(),
-                Arc::clone(acct),
-                faults,
-            ))
-        }
-        None => Parts::Plain(Arc::new(parts)),
-    }
+) -> Arc<Store<T>> {
+    let policy = ctx.accountant().map(|acct| {
+        let faults = ctx.faults().map(|fc| (fc.plan.clone(), fc.max_task_retries));
+        Policy::new(Arc::clone(acct), ctx.serializer(), ctx.current_stage(), faults)
+    });
+    Store::new(parts, policy)
 }
 
-/// A borrowed view of one partition: a direct slice for plain datasets, a
-/// pinned `Arc` for tracked ones (the pin keeps the eviction policy from
-/// dropping the partition while it is being read). Derefs to `[T]`.
-pub enum PartRef<'a, T> {
-    Slice(&'a [T]),
-    Owned(Arc<Vec<T>>),
+/// A borrowed view of one partition. It pins the partition's `Arc`, which
+/// keeps the eviction policy from dropping a budgeted partition while it is
+/// being read. Derefs to `[T]`.
+pub struct PartRef<'a, T> {
+    data: Arc<Vec<T>>,
+    _dataset: PhantomData<&'a [T]>,
 }
 
 impl<T> std::ops::Deref for PartRef<'_, T> {
     type Target = [T];
     fn deref(&self) -> &[T] {
-        match self {
-            PartRef::Slice(s) => s,
-            PartRef::Owned(v) => v,
-        }
+        &self.data
     }
 }
 
@@ -261,7 +172,7 @@ impl<T: std::fmt::Debug> std::fmt::Debug for PartRef<'_, T> {
 /// A partitioned in-memory dataset (the RDD analogue).
 pub struct Dataset<T> {
     ctx: Arc<EngineContext>,
-    parts: Parts<T>,
+    parts: Arc<Store<T>>,
 }
 
 impl<T> Clone for Dataset<T> {
@@ -284,13 +195,13 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         for _ in 0..parts {
             out.push(it.by_ref().take(chunk).collect());
         }
-        Self { ctx, parts: Parts::Plain(Arc::new(out)) }
+        Self { ctx, parts: Store::new(out, None) }
     }
 
     /// Build from explicit partitions (used by shuffles and generators).
     pub fn from_partitions(ctx: Arc<EngineContext>, parts: Vec<Vec<T>>) -> Self {
         assert!(!parts.is_empty(), "dataset needs at least one partition");
-        Self { ctx, parts: Parts::Plain(Arc::new(parts)) }
+        Self { ctx, parts: Store::new(parts, None) }
     }
 
     /// The engine context.
@@ -300,7 +211,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
 
     /// Number of partitions.
     pub fn num_partitions(&self) -> usize {
-        self.parts.num()
+        self.parts.num_parts()
     }
 
     /// Total number of records (metadata peek; unlike Spark's `count()` this
@@ -317,17 +228,17 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// Records per partition (load-balance diagnostics; §4.4 of the paper
     /// drives its dynamic repartitioning off exactly this measure).
     pub fn partition_sizes(&self) -> Vec<usize> {
-        (0..self.parts.num()).map(|i| self.parts.part_len(i)).collect()
+        (0..self.parts.num_parts()).map(|i| self.parts.part_len(i)).collect()
     }
 
-    /// Borrow a partition's records. On a budget-tracked dataset this
-    /// restores the partition if it was evicted; an infeasible restore
+    /// Borrow a partition's records. On a budgeted dataset this restores
+    /// the partition if it was evicted; an infeasible restore
     /// panics, so pipelines should go through operators (which surface a
     /// structured breach instead) — this accessor is for tests, benches and
     /// diagnostics.
     pub fn partition(&self, idx: usize) -> PartRef<'_, T> {
         match self.parts.get(idx) {
-            Ok(p) => p,
+            Ok(data) => PartRef { data, _dataset: PhantomData },
             Err((req, bud)) => {
                 // gpf-lint: allow(no-panic): diagnostics-only accessor;
                 // inside pipelines an infeasible restore surfaces as a
@@ -347,43 +258,43 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         });
     }
 
-    /// Serialize every partition as one batch buffer. Tracked partitions
-    /// stage through a transient streamed copy (nothing is admitted), built
-    /// serially one partition at a time, so the buffers are byte-identical
-    /// to the plain representation's under any budget.
-    fn serialize_partitions(&self, kind: SerializerKind) -> Vec<Vec<u8>>
-    where
-        T: GpfSerialize + Clone,
-    {
-        match &self.parts {
-            Parts::Plain(v) => par::map(v, |p| serialize_batch(kind, p)),
-            Parts::Tracked(_) => (0..self.parts.num())
-                .map(|i| serialize_batch(kind, &self.parts.part_to_vec(i)))
-                .collect(),
+    /// Run `f` for every partition: in parallel, or one partition at a time
+    /// on a budgeted store (DESIGN.md §16c), so at most one partition's
+    /// transient copy is staged at a time.
+    fn per_partition<R: Send>(&self, f: impl Fn(usize) -> R + Sync) -> Vec<R> {
+        let n = self.parts.num_parts();
+        if self.parts.budgeted() {
+            (0..n).map(f).collect()
+        } else {
+            par::map_range(n, f)
         }
     }
 
-    /// Serialized size of each partition under `kind`. Tracked partitions
-    /// are sized from streamed chunks, serially, so sizing never admits
-    /// (or breaches) anything.
+    /// Serialize every partition as one batch buffer. A spilled partition
+    /// stages through a transient decoded copy (nothing is admitted), so the
+    /// buffers are byte-identical to the unbudgeted run's under any budget.
+    fn serialize_partitions(&self, kind: SerializerKind) -> Vec<Vec<u8>>
+    where
+        T: GpfSerialize,
+    {
+        self.per_partition(|i| self.parts.with_whole(i, |p| serialize_batch(kind, p)))
+    }
+
+    /// Serialized size of each partition under `kind`, sized from streamed
+    /// chunks, so sizing never admits (or breaches) anything.
     fn serialized_sizes(&self, kind: SerializerKind) -> Vec<u64>
     where
         T: GpfSerialize,
     {
-        let size = |i: usize| {
+        self.per_partition(|i| {
             let mut bytes = 0u64;
             self.parts.stream(i, &mut |chunk| bytes += serialize_batch(kind, chunk).len() as u64);
             bytes
-        };
-        if self.parts.is_tracked() {
-            (0..self.parts.num()).map(size).collect()
-        } else {
-            par::map_range(self.parts.num(), size)
-        }
+        })
     }
 
     /// Run one narrow task per partition through [`run_tasks`] and record
-    /// them into the open stage. `serial` is the budget-tracked rung of the
+    /// them into the open stage. `serial` is the budgeted rung of the
     /// degradation ladder (DESIGN.md §16c).
     fn run_narrow<U: Send + Sync + 'static>(
         &self,
@@ -391,7 +302,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         serial: bool,
         body: impl Fn(usize) -> Vec<U> + Sync,
     ) -> Dataset<U> {
-        let n = self.parts.num();
+        let n = self.parts.num_parts();
         if self.ctx.has_failed() {
             return failed(&self.ctx, n);
         }
@@ -402,12 +313,12 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         let records: u64 = outs.iter().map(|v| v.len() as u64).sum();
         let alloc = records * self.ctx.config().per_record_overhead_bytes;
         self.ctx.record_tasks(label, &samples, records, alloc);
-        Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(outs)) }
+        Dataset { ctx: Arc::clone(&self.ctx), parts: Store::new(outs, None) }
     }
 
     /// Core narrow operation: per-partition transform with metric
-    /// recording. `f` receives `(partition_index, records)`. Plain inputs
-    /// run in parallel; budget-tracked inputs restore one partition at a
+    /// recording. `f` receives `(partition_index, records)`. Unbudgeted
+    /// inputs run in parallel; budgeted inputs restore one partition at a
     /// time, so any budget that fits the largest single partition stays
     /// feasible (element-wise operators avoid even that restore by
     /// streaming).
@@ -416,7 +327,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         label: &str,
         f: impl Fn(usize, &[T]) -> Vec<U> + Send + Sync,
     ) -> Dataset<U> {
-        self.run_narrow(label, self.parts.is_tracked(), |i| match self.parts.get(i) {
+        self.run_narrow(label, self.parts.budgeted(), |i| match self.parts.get(i) {
             Ok(part) => f(i, &part),
             Err((requested, budget)) => {
                 self.breach(label, requested, budget);
@@ -426,7 +337,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Element-wise narrow operation: `f` maps a *chunk* of records to
-    /// outputs and is applied once per plain or resident partition but
+    /// outputs and is applied once per resident partition but
     /// once per spill frame for an evicted one — a map stage over an
     /// evicted partition never materializes it, so it stays parallel.
     fn stream_op<U: Send + Sync + 'static>(
@@ -504,22 +415,19 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: Clone,
     {
-        let mut parts: Vec<Vec<T>> = Vec::with_capacity(self.parts.num() + other.parts.num());
-        for i in 0..self.parts.num() {
-            parts.push(self.parts.part_to_vec(i));
-        }
-        for i in 0..other.parts.num() {
-            parts.push(other.parts.part_to_vec(i));
-        }
+        let parts: Vec<Vec<T>> = [&self.parts, &other.parts]
+            .into_iter()
+            .flat_map(|s| (0..s.num_parts()).map(move |i| s.with_whole(i, <[T]>::to_vec)))
+            .collect();
         let records = parts.iter().map(|p| p.len() as u64).sum();
         self.ctx.record_narrow("union", &[], records, 0);
-        Dataset { ctx: Arc::clone(&self.ctx), parts: Parts::Plain(Arc::new(parts)) }
+        Dataset { ctx: Arc::clone(&self.ctx), parts: Store::new(parts, None) }
     }
 
     /// Pairwise partition zip (both datasets must have equal partition
     /// counts) — the primitive behind bundled RDDs (paper Figure 7(b)).
     ///
-    /// When either side is budget-tracked the zip runs pairwise-serially:
+    /// When either side is budgeted the zip runs pairwise-serially:
     /// at most one left/right pair is resident at a time, so the working
     /// set is bounded by the largest pair, not the whole right-hand dataset.
     pub fn zip_partitions<U: Send + Sync + 'static, V: Send + Sync + 'static>(
@@ -533,7 +441,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
             "zip_partitions requires equal partition counts"
         );
         let label = "zipPartitions";
-        let serial = self.parts.is_tracked() || other.parts.is_tracked();
+        let serial = self.parts.budgeted() || other.parts.budgeted();
         self.run_narrow(label, serial, |i| {
             match self.parts.get(i).and_then(|l| other.parts.get(i).map(|r| (l, r))) {
                 Ok((left, right)) => f(i, &left, &right),
@@ -562,14 +470,14 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     }
 
     /// Concatenate all partitions without any accounting (test/diagnostic
-    /// helper — not an engine action). Streams tracked partitions, so it
+    /// helper — not an engine action). Streams spilled partitions, so it
     /// works under any budget.
     pub fn collect_local(&self) -> Vec<T>
     where
         T: Clone,
     {
         let mut out = Vec::with_capacity(self.len());
-        for i in 0..self.parts.num() {
+        for i in 0..self.parts.num_parts() {
             self.parts.stream(i, &mut |chunk| out.extend_from_slice(chunk));
         }
         out
@@ -582,12 +490,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         T: GpfSerialize,
     {
         self.serialized_sizes(kind).into_iter().sum()
-    }
-
-    /// Mark the dataset as cached (eager engine: data is already resident;
-    /// this is a documentation-of-intent no-op kept for API parity).
-    pub fn cache(&self) -> Dataset<T> {
-        self.clone()
     }
 
     /// Materialize the dataset through "disk": every partition is serialized
@@ -610,7 +512,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     where
         T: GpfSerialize + Clone,
     {
-        let n = self.parts.num();
+        let n = self.parts.num_parts();
         if self.ctx.has_failed() {
             return failed(&self.ctx, n);
         }
@@ -663,7 +565,7 @@ impl<T: Send + Sync + 'static> Dataset<T> {
                 Some(items) => (items, 0u64, injected),
                 // Lineage recompute: the pre-spill partition is still held,
                 // so a lost spill costs one clone, not a rerun.
-                None => (self.parts.part_to_vec(i), 1u64, injected),
+                None => (self.parts.with_whole(i, <[T]>::to_vec), 1u64, injected),
             }
         });
         let Some((parts, de_samples)) = read else {
@@ -706,37 +608,31 @@ impl<T: Send + Sync + 'static> Dataset<T> {
     /// spilled to checksummed frames, a clean one (its spill image already
     /// exists) is dropped and re-read — and map stages over evicted
     /// partitions stream chunk-by-chunk. A no-op when no budget is
-    /// installed or the dataset is already tracked.
+    /// installed or the dataset is already budgeted.
     pub fn evictable(&self) -> Dataset<T>
     where
         T: GpfSerialize + Clone,
     {
-        match (&self.parts, self.ctx.accountant()) {
-            (Parts::Plain(v), Some(_)) => {
-                let parts: Vec<Vec<T>> = v.as_ref().clone();
-                Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
-            }
-            _ => self.clone(),
+        if self.parts.budgeted() || self.ctx.accountant().is_none() {
+            return self.clone();
         }
+        let parts = (0..self.parts.num_parts())
+            .map(|i| self.parts.with_whole(i, <[T]>::to_vec))
+            .collect();
+        Dataset { ctx: Arc::clone(&self.ctx), parts: output_parts(&self.ctx, parts) }
     }
 
     /// Number of partitions currently evicted to checksummed spill frames.
-    /// Always `0` for a plain (untracked) dataset — i.e. whenever no memory
+    /// Always `0` for an unbudgeted dataset — i.e. whenever no memory
     /// budget is installed.
     pub fn spilled_partitions(&self) -> usize {
-        match &self.parts {
-            Parts::Plain(_) => 0,
-            Parts::Tracked(s) => (0..s.num_parts()).filter(|&i| s.is_spilled(i)).count(),
-        }
+        self.parts.spilled_partitions()
     }
 
     /// Serialized bytes currently sitting in spill frames for this dataset
-    /// (`0` for plain datasets).
+    /// (`0` for unbudgeted datasets).
     pub fn spilled_bytes(&self) -> u64 {
-        match &self.parts {
-            Parts::Plain(_) => 0,
-            Parts::Tracked(s) => s.spilled_bytes(),
-        }
+        self.parts.spilled_bytes()
     }
 
     /// Consuming [`Dataset::partition_by`]: when this handle holds the last
@@ -844,8 +740,10 @@ where
 
     /// Hash-partition by key and fold values with `f`.
     pub fn reduce_by_key(&self, nparts: usize, f: impl Fn(&V, &V) -> V + Send + Sync) -> Dataset<(K, V)> {
-        // Map-side combine first (Spark does this too) to cut shuffle volume.
-        let combined = self.narrow_op("mapSideCombine", |_, p| {
+        // Folds each partition's values per key, keys in order of first
+        // arrival: the map-side combine (Spark does this too, to cut shuffle
+        // volume) and the reduce alike.
+        let fold = |p: &[(K, V)]| {
             let mut order: Vec<K> = Vec::new();
             let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
             for (k, v) in p {
@@ -864,7 +762,8 @@ where
                     Some((k, v))
                 })
                 .collect()
-        });
+        };
+        let combined = self.narrow_op("mapSideCombine", |_, p| fold(p));
         // `combined` is a freshly built intermediate nobody else references,
         // so destructuring it hands the shuffle sole ownership of the
         // partitions and the map side moves records instead of cloning.
@@ -872,26 +771,7 @@ where
         let shuffled = shuffle(&ctx, parts, nparts, "reduceByKey", |kv: &(K, V)| {
             (stable_hash(&kv.0) % nparts as u64) as usize
         });
-        shuffled.narrow_op("reduce", |_, p| {
-            let mut order: Vec<K> = Vec::new();
-            let mut acc: std::collections::HashMap<K, V> = std::collections::HashMap::new();
-            for (k, v) in p {
-                match acc.get_mut(k) {
-                    Some(cur) => *cur = f(cur, v),
-                    None => {
-                        order.push(k.clone());
-                        acc.insert(k.clone(), v.clone());
-                    }
-                }
-            }
-            order
-                .into_iter()
-                .filter_map(|k| {
-                    let v = acc.remove(&k)?;
-                    Some((k, v))
-                })
-                .collect()
-        })
+        shuffled.narrow_op("reduce", |_, p| fold(p))
     }
 
     /// Inner hash join (both sides shuffled by key hash).
@@ -945,10 +825,10 @@ where
         let step = (total / 1024).max(1);
         let mut sample: Vec<K> = Vec::new();
         let mut idx = 0usize;
-        for pi in 0..self.parts.num() {
+        for pi in 0..self.parts.num_parts() {
             self.parts.stream(pi, &mut |chunk| {
                 for (k, _) in chunk {
-                    if idx % step == 0 {
+                    if idx.is_multiple_of(step) {
                         sample.push(k.clone());
                     }
                     idx += 1;
@@ -1281,7 +1161,7 @@ fn record_task_fault_events<R>(ctx: &EngineContext, stage: u32, runs: &[TaskRun<
 
 /// The task runner every operator goes through: runs `body` for each task
 /// index in `0..n` — in parallel, or one at a time when `serial` (the
-/// budget-tracked rung of DESIGN.md §16c) — under [`run_with_retry`], then
+/// budgeted rung of DESIGN.md §16c) — under [`run_with_retry`], then
 /// speculates stragglers of injectable parallel stages and records the
 /// recovery events.
 ///
@@ -1374,7 +1254,7 @@ pub struct RebalancePlan<T> {
 /// that piece.
 fn adaptive_shuffle<T>(
     ctx: &Arc<EngineContext>,
-    parts: Parts<T>,
+    parts: Arc<Store<T>>,
     nbase: usize,
     route_base: impl Fn(&T) -> usize + Send + Sync,
     rebalance: impl FnOnce(&[u64]) -> RebalancePlan<T>,
@@ -1389,7 +1269,7 @@ where
     // Count pass: per-map-partition histograms over base ids, streamed so an
     // evicted partition never has to rematerialize just to be counted.
     let label = crate::metrics::names::REPARTITION_COUNT;
-    let counted = run_tasks(ctx, label, parts.num(), TaskKind::Count, false, |i| {
+    let counted = run_tasks(ctx, label, parts.num_parts(), TaskKind::Count, false, |i| {
         let mut h = vec![0u64; nbase];
         parts.stream(i, &mut |chunk| {
             for item in chunk {
@@ -1420,23 +1300,25 @@ where
 
 /// A shuffle's map-side input.
 enum MapInput<T> {
-    /// Partitions the shuffle owns outright: records are moved into their
-    /// buckets and no lineage survives the map side. Each cell is taken
+    /// A store the shuffle owns outright: records are moved into their
+    /// buckets and no lineage survives the map side. Each partition is taken
     /// exactly once, by the one attempt its task gets without a fault plan.
-    Owned(Vec<Mutex<Vec<T>>>),
-    /// Shared partitions: records are cloned into buckets and the input is
-    /// kept as lineage to recompute a segment that fails verification.
-    Lineage(Parts<T>),
+    Owned(Store<T>),
+    /// A shared or budgeted store: records are cloned into buckets and the
+    /// input is kept as lineage to recompute a segment that fails
+    /// verification.
+    Lineage(Arc<Store<T>>),
 }
 
 /// The shuffle: route, scatter, serialize, checksum, exchange, verify,
 /// deserialize — with the same outputs and metrics as [`shuffle_reference`]
 /// but none of its per-record clones or per-bucket buffers.
 ///
-/// Takes the partition `Arc` by value: when the caller held the only
-/// reference (consuming APIs like [`Dataset::into_partition_by`] or
-/// internal intermediates like `reduceByKey`'s map-side combine) and no
-/// fault plan is installed, records are *moved* into their buckets;
+/// Takes the store `Arc` by value: when the store is unbudgeted, the
+/// caller held the only reference (consuming APIs like
+/// [`Dataset::into_partition_by`] or internal intermediates like
+/// `reduceByKey`'s map-side combine) and no fault plan is installed,
+/// records are *moved* into their buckets;
 /// otherwise each record is cloned exactly once and the input stays
 /// resident as lineage. Every segment is checksummed on write; the reduce
 /// side verifies checksum and decoded record count, recomputes a failed
@@ -1445,7 +1327,7 @@ enum MapInput<T> {
 /// with a typed [`EngineError`].
 fn shuffle<T>(
     ctx: &Arc<EngineContext>,
-    parts: Parts<T>,
+    parts: Arc<Store<T>>,
     nparts: usize,
     label: &str,
     route: impl Fn(&T) -> usize + Send + Sync,
@@ -1460,14 +1342,12 @@ where
     let kind = ctx.serializer();
     let fc = ctx.faults();
     let stage = ctx.current_stage();
-    let n = parts.num();
+    let n = parts.num_parts();
     let records = parts.total_len() as u64;
-    let input = match parts {
-        Parts::Plain(arc) if fc.is_none() => match Arc::try_unwrap(arc) {
-            Ok(owned) => MapInput::Owned(owned.into_iter().map(Mutex::new).collect()),
-            Err(shared) => MapInput::Lineage(Parts::Plain(shared)),
-        },
-        other => MapInput::Lineage(other),
+    let input = if parts.budgeted() || fc.is_some() {
+        MapInput::Lineage(parts)
+    } else {
+        Arc::try_unwrap(parts).map_or_else(MapInput::Lineage, MapInput::Owned)
     };
     if gpf_trace::enabled() {
         let name = match input {
@@ -1483,8 +1363,8 @@ where
     let mapped = run_tasks(ctx, label, n, TaskKind::ShuffleMap, false, |i| {
         let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
         match &input {
-            MapInput::Owned(cells) => {
-                let p = std::mem::take(&mut *cells[i].lock());
+            MapInput::Owned(store) => {
+                let p = store.take(i);
                 let (routes, counts) = plan_routes(&p, nparts, &route);
                 for (b, &c) in buckets.iter_mut().zip(&counts) {
                     b.reserve_exact(c);
@@ -1622,7 +1502,7 @@ where
 /// the CI perf gate measures the speedup against it.
 fn shuffle_reference<T>(
     ctx: &Arc<EngineContext>,
-    parts: &Parts<T>,
+    parts: &Store<T>,
     nparts: usize,
     label: &str,
     route: impl Fn(&T) -> usize + Send + Sync,
@@ -1634,7 +1514,7 @@ where
     let kind = ctx.serializer();
 
     // Map side: bucket and serialize.
-    let map_out: Vec<(Vec<Vec<u8>>, TaskSample, f64)> = par::map_range(parts.num(), |i| {
+    let map_out: Vec<(Vec<Vec<u8>>, TaskSample, f64)> = par::map_range(parts.num_parts(), |i| {
         let start_ns = now_ns();
         let t0 = TaskTimer::start();
         let mut buckets: Vec<Vec<T>> = (0..nparts).map(|_| Vec::new()).collect();
@@ -1676,7 +1556,7 @@ where
     let read_bytes: Vec<u64> = (0..nparts)
         .map(|t| map_out.iter().map(|(bufs, _, _)| bufs[t].len() as u64).sum())
         .collect();
-    let records: u64 = (0..parts.num()).map(|i| parts.part_len(i) as u64).sum();
+    let records = parts.total_len() as u64;
     ctx.record_tasks(label, &map_samples, records, 0);
     ctx.record_serde(ser_s);
     ctx.close_stage_shuffle(label, write_bytes, read_bytes.clone());
@@ -1719,10 +1599,11 @@ where
     ctx.record_tasks(&format!("{label}(read)"), &de_samples, out_records, churn);
     ctx.record_serde(de_s);
     // The reference shuffle is the differential baseline: its output stays
-    // plain even under a budget, so comparisons read it without restores.
+    // unbudgeted even under a budget, so comparisons read it without
+    // restores.
     Dataset {
         ctx: Arc::clone(ctx),
-        parts: Parts::Plain(Arc::new(reduce_out.into_iter().map(|(v, _)| v).collect())),
+        parts: Store::new(reduce_out.into_iter().map(|(v, _)| v).collect(), None),
     }
 }
 

@@ -173,7 +173,7 @@ impl StageMetrics {
         // last.
         let mut best: Option<(&String, f64)> = None;
         for (p, c) in &self.phase_cpu {
-            if best.map_or(true, |(_, bc)| *c > bc) {
+            if best.is_none_or(|(_, bc)| *c > bc) {
                 best = Some((p, *c));
             }
         }
@@ -348,10 +348,8 @@ pub fn derive_job_run(events: &[Event]) -> JobRun {
                 }
                 d.close();
             }
-            (EventKind::Counter, Category::Io) => {
-                if &*ev.name == names::BROADCAST {
-                    d.ensure(phase).broadcast_bytes += ev.counter(names::BYTES).unwrap_or(0);
-                }
+            (EventKind::Counter, Category::Io) if &*ev.name == names::BROADCAST => {
+                d.ensure(phase).broadcast_bytes += ev.counter(names::BYTES).unwrap_or(0);
             }
             (EventKind::Instant, Category::Io) => {
                 let stage = d.ensure(phase);
@@ -364,17 +362,17 @@ pub fn derive_job_run(events: &[Event]) -> JobRun {
                 d.close();
                 d.next_read.clear();
             }
-            (EventKind::Counter, Category::Scheduler) => {
-                // Heap gauge samples from the tracking allocator; other
-                // scheduler counters stay timeline-only.
-                if &*ev.name == gpf_trace::names::HEAP_LIVE_TRACK {
-                    let stage = d.ensure(phase);
-                    if let Some(live) = ev.counter(gpf_trace::names::HEAP_LIVE_KEY) {
-                        stage.heap_live_bytes = live;
-                    }
-                    if let Some(peak) = ev.counter(gpf_trace::names::HEAP_PEAK_KEY) {
-                        stage.heap_peak_bytes = stage.heap_peak_bytes.max(peak);
-                    }
+            // Heap gauge samples from the tracking allocator; other
+            // scheduler counters stay timeline-only.
+            (EventKind::Counter, Category::Scheduler)
+                if &*ev.name == gpf_trace::names::HEAP_LIVE_TRACK =>
+            {
+                let stage = d.ensure(phase);
+                if let Some(live) = ev.counter(gpf_trace::names::HEAP_LIVE_KEY) {
+                    stage.heap_live_bytes = live;
+                }
+                if let Some(peak) = ev.counter(gpf_trace::names::HEAP_PEAK_KEY) {
+                    stage.heap_peak_bytes = stage.heap_peak_bytes.max(peak);
                 }
             }
             _ => {}

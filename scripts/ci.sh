@@ -53,13 +53,11 @@ RUSTFLAGS="${RUSTFLAGS:-} --cfg gpf_check" \
 GPF_CHECK_SCHEDULES="${GPF_CHECK_SCHEDULES:-10000}" \
     cargo test -q --offline -p gpf-check -- --test-threads=1
 
-echo "== clippy (best effort) =="
-# Clippy is advisory: warnings fail the step, but a missing clippy
-# component must not fail CI on minimal toolchains.
+echo "== clippy (-D warnings) =="
+# Blocking: any clippy warning fails CI. A missing clippy component is
+# skipped so minimal toolchains can still run the rest.
 if cargo clippy --version >/dev/null 2>&1; then
-    cargo clippy --offline --workspace -- -D warnings || {
-        echo "clippy reported warnings (non-blocking)" >&2
-    }
+    cargo clippy --offline --workspace -- -D warnings
 else
     echo "clippy not installed; skipping" >&2
 fi
